@@ -3,10 +3,13 @@
 //! truncated scan ablation, the bisection-depth ablation, and the closed
 //! forms.
 
-#![allow(deprecated)] // exercises the legacy wrappers against the engine
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use vr_core::accountant::{Accountant, ScanMode, SearchOptions};
+use vr_core::analytic::AnalyticBound;
+use vr_core::asymptotic::AsymptoticBound;
+use vr_core::baselines::{stronger_clone_bound, GenericBlanketBound};
+use vr_core::bound::AmplificationBound;
 use vr_core::VariationRatio;
 
 fn bench_epsilon_search(c: &mut Criterion) {
@@ -73,10 +76,10 @@ fn bench_iteration_ablation(c: &mut Criterion) {
 fn bench_closed_forms(c: &mut Criterion) {
     let vr = VariationRatio::ldp_worst_case(1.0).unwrap();
     c.bench_function("analytic_thm42", |b| {
-        b.iter(|| vr_core::analytic::analytic_epsilon(black_box(&vr), 1_000_000, 1e-8))
+        b.iter(|| AnalyticBound::new(black_box(vr), 1_000_000).epsilon(1e-8))
     });
     c.bench_function("asymptotic_thm43", |b| {
-        b.iter(|| vr_core::asymptotic::asymptotic_epsilon(black_box(&vr), 1_000_000, 1e-8))
+        b.iter(|| AsymptoticBound::new(black_box(vr), 1_000_000).epsilon(1e-8))
     });
 }
 
@@ -86,19 +89,16 @@ fn bench_baselines(c: &mut Criterion) {
     let opts = SearchOptions::default();
     g.bench_function("stronger_clone", |b| {
         b.iter(|| {
-            vr_core::baselines::stronger_clone_epsilon(black_box(2.0), 100_000, 1e-7, opts).unwrap()
+            stronger_clone_bound(black_box(2.0), 100_000, opts)
+                .and_then(|bound| bound.epsilon(1e-7))
+                .unwrap()
         })
     });
     g.bench_function("blanket_generic", |b| {
         b.iter(|| {
-            vr_core::baselines::blanket_epsilon(
-                black_box(2.0),
-                vr_core::baselines::generic_gamma(2.0),
-                100_000,
-                1e-7,
-                Default::default(),
-            )
-            .unwrap()
+            GenericBlanketBound::new(black_box(2.0), 100_000, Default::default())
+                .and_then(|bound| bound.epsilon(1e-7))
+                .unwrap()
         })
     });
     g.finish();

@@ -1,4 +1,5 @@
-//! Ablations of the accountant's design choices (DESIGN.md §8):
+//! Ablations of the accountant's design choices (the truncated scan and the
+//! bisection of the paper's Algorithm 1):
 //! (1) truncation tail-mass sweep — accuracy/latency trade-off of the
 //!     rigorously-truncated scan;
 //! (2) bisection depth T — the precision/latency trade-off of Algorithm 1;

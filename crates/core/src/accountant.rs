@@ -99,8 +99,10 @@
 //! Our exact small-`n` shuffled ground truth (see `vr-protocols::exact`)
 //! shows that the *paper's* generalized reduction can undercut the true
 //! shuffled divergence by a few percent when mechanism residual components
-//! differ across users (DESIGN.md §7); at the worst-case β the reduction is
-//! the proven stronger-clone bound and is sound unconditionally.
+//! differ across users (pinned by `vr-protocols`'
+//! `exact::tests::generalized_reduction_gap_is_small_and_pinned`); at the
+//! worst-case β the reduction is the proven stronger-clone bound and is
+//! sound unconditionally.
 
 use crate::bound::{check_eps, AmplificationBound, Validity};
 use crate::error::{Error, Result};

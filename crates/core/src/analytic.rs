@@ -61,18 +61,10 @@ impl AmplificationBound for AnalyticBound {
     }
 }
 
-/// Closed-form `(ε, δ)` amplification bound of Theorem 4.2 — the thin
-/// free-function wrapper over [`AnalyticBound`].
-///
-/// Returns the amplified ε, or [`Error::NotApplicable`] when the theorem's
-/// side conditions fail for these parameters (use the numerical
-/// [`crate::Accountant`] instead — it is always applicable and tighter).
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or AnalyticBound directly")]
-pub fn analytic_epsilon(vr: &VariationRatio, n: u64, delta: f64) -> Result<f64> {
-    AnalyticBound::new(*vr, n).epsilon(delta)
-}
-
-/// Theorem 4.2 kernel (Appendix F algebra).
+/// Theorem 4.2 kernel (Appendix F algebra): the amplified ε, or
+/// [`Error::NotApplicable`] when the theorem's side conditions fail for
+/// these parameters (use the numerical [`crate::Accountant`] instead — it
+/// is always applicable and tighter).
 fn epsilon_thm42(vr: &VariationRatio, n: u64, delta: f64) -> Result<f64> {
     if !(0.0 < delta && delta < 1.0) {
         return Err(Error::InvalidParameter(format!(
@@ -169,7 +161,6 @@ fn stationary_threshold(vr: &VariationRatio, n: u64) -> f64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the legacy wrappers to the engine
 mod tests {
     use super::*;
     use crate::accountant::{Accountant, ScanMode};
@@ -190,7 +181,7 @@ mod tests {
             let vr = VariationRatio::new(p, beta, q).unwrap();
             for n in [100_000u64, 1_000_000] {
                 let delta = 1e-7;
-                match analytic_epsilon(&vr, n, delta) {
+                match AnalyticBound::new(vr, n).epsilon(delta) {
                     Ok(eps) => {
                         let num = Accountant::new(vr, n)
                             .unwrap()
@@ -214,7 +205,7 @@ mod tests {
         let vr = VariationRatio::ldp_worst_case(1.0).unwrap();
         let n = 1_000_000;
         let delta = 1e-7;
-        let analytic = analytic_epsilon(&vr, n, delta).unwrap();
+        let analytic = AnalyticBound::new(vr, n).epsilon(delta).unwrap();
         let numerical = Accountant::new(vr, n)
             .unwrap()
             .epsilon_default(delta)
@@ -230,8 +221,8 @@ mod tests {
     #[test]
     fn improves_with_population() {
         let vr = VariationRatio::ldp_worst_case(2.0).unwrap();
-        let e5 = analytic_epsilon(&vr, 100_000, 1e-6).unwrap();
-        let e6 = analytic_epsilon(&vr, 1_000_000, 1e-6).unwrap();
+        let e5 = AnalyticBound::new(vr, 100_000).epsilon(1e-6).unwrap();
+        let e6 = AnalyticBound::new(vr, 1_000_000).epsilon(1e-6).unwrap();
         assert!(e6 < e5);
     }
 
@@ -240,7 +231,7 @@ mod tests {
         let vr = VariationRatio::ldp_worst_case(5.0).unwrap();
         // With eps0=5 the clone probability is ~0.013; n = 50 leaves omega <= 0.
         assert!(matches!(
-            analytic_epsilon(&vr, 50, 1e-6),
+            AnalyticBound::new(vr, 50).epsilon(1e-6),
             Err(Error::NotApplicable(_))
         ));
     }
@@ -253,7 +244,7 @@ mod tests {
         for delta in [1e-5, 1e-7, 1e-9] {
             assert_eq!(
                 b.epsilon(delta).unwrap().to_bits(),
-                analytic_epsilon(&vr, n, delta).unwrap().to_bits()
+                epsilon_thm42(&vr, n, delta).unwrap().to_bits()
             );
         }
         assert!(b.validity().conditional);
@@ -267,10 +258,10 @@ mod tests {
     #[test]
     fn degenerate_and_invalid_inputs() {
         let vr = VariationRatio::new(2.0, 0.0, 2.0).unwrap();
-        assert_eq!(analytic_epsilon(&vr, 1000, 1e-6).unwrap(), 0.0);
+        assert_eq!(AnalyticBound::new(vr, 1000).epsilon(1e-6).unwrap(), 0.0);
         let vr = VariationRatio::ldp_worst_case(1.0).unwrap();
-        assert!(analytic_epsilon(&vr, 1000, 0.0).is_err());
-        assert!(analytic_epsilon(&vr, 1000, 1.5).is_err());
-        assert!(analytic_epsilon(&vr, 1, 1e-6).is_err());
+        assert!(AnalyticBound::new(vr, 1000).epsilon(0.0).is_err());
+        assert!(AnalyticBound::new(vr, 1000).epsilon(1.5).is_err());
+        assert!(AnalyticBound::new(vr, 1).epsilon(1e-6).is_err());
     }
 }

@@ -43,8 +43,7 @@ impl AmplificationBound for AsymptoticBound {
     }
 }
 
-/// Closed-form `(ε, δ)` bound of Theorem 4.3 — the thin free-function
-/// wrapper over [`AsymptoticBound`]:
+/// Theorem 4.3 kernel:
 ///
 /// ```text
 /// ε = ln(1 + β / ((1−v)(1+p)β/(p−1) + v) · (√(32·ln(4/δ)/(r(n−1))) + 4/(r·n)))
@@ -53,12 +52,6 @@ impl AmplificationBound for AsymptoticBound {
 ///
 /// valid when `n ≥ 8·ln(2/δ)/r` (returned as [`Error::NotApplicable`]
 /// otherwise). `p = ∞` is handled through `(1+p)β/(p−1) → β` (i.e. `α + pα`).
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or AsymptoticBound directly")]
-pub fn asymptotic_epsilon(vr: &VariationRatio, n: u64, delta: f64) -> Result<f64> {
-    AsymptoticBound::new(*vr, n).epsilon(delta)
-}
-
-/// Theorem 4.3 kernel.
 fn epsilon_thm43(vr: &VariationRatio, n: u64, delta: f64) -> Result<f64> {
     if !(0.0 < delta && delta < 1.0) {
         return Err(Error::InvalidParameter(format!(
@@ -126,7 +119,6 @@ pub fn table1_orders(eps0: f64, beta: f64, n: u64, delta: f64) -> Table1Row {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the legacy wrappers to the engine
 mod tests {
     use super::*;
     use crate::accountant::{Accountant, ScanMode};
@@ -138,7 +130,7 @@ mod tests {
             let vr = VariationRatio::ldp_worst_case(eps0).unwrap();
             let n = 2_000_000;
             let delta = 1e-7;
-            let eps = asymptotic_epsilon(&vr, n, delta).unwrap();
+            let eps = AsymptoticBound::new(vr, n).epsilon(delta).unwrap();
             let d = Accountant::new(vr, n)
                 .unwrap()
                 .try_delta(eps, ScanMode::default())
@@ -155,7 +147,7 @@ mod tests {
         let vr = VariationRatio::ldp_worst_case(1.0).unwrap();
         let n = 1_000_000;
         let delta = 1e-7;
-        let asym = asymptotic_epsilon(&vr, n, delta).unwrap();
+        let asym = AsymptoticBound::new(vr, n).epsilon(delta).unwrap();
         let num = Accountant::new(vr, n)
             .unwrap()
             .epsilon_default(delta)
@@ -171,7 +163,7 @@ mod tests {
         for delta in [1e-5, 1e-7] {
             assert_eq!(
                 b.epsilon(delta).unwrap().to_bits(),
-                asymptotic_epsilon(&vr, n, delta).unwrap().to_bits()
+                epsilon_thm43(&vr, n, delta).unwrap().to_bits()
             );
         }
         let eps = b.epsilon(1e-7).unwrap();
@@ -187,7 +179,7 @@ mod tests {
     fn requires_large_population() {
         let vr = VariationRatio::ldp_worst_case(5.0).unwrap();
         assert!(matches!(
-            asymptotic_epsilon(&vr, 1_000, 1e-6),
+            AsymptoticBound::new(vr, 1_000).epsilon(1e-6),
             Err(Error::NotApplicable(_))
         ));
     }

@@ -31,8 +31,10 @@
 //!
 //! This reconstructs the structure of the original's "Hoeffding/Bennett,
 //! generic/specific" numerical bounds (the specific variants plug in the
-//! mechanism's true γ); it is *not* a transcription of their formulas — see
-//! DESIGN.md §4. Every bound returned here is valid in its own right.
+//! mechanism's true γ); it is *not* a transcription of their formulas. Every
+//! bound returned here is valid in its own right (the module tests check the
+//! step-2 identity by Monte Carlo, and `tests/paper_claims.rs` the Figure 1–2
+//! orderings against the variation-ratio accountant).
 
 use crate::bound::{delta_from_epsilon, names, AmplificationBound, Validity};
 use crate::error::{Error, Result};
@@ -349,20 +351,6 @@ fn delta_div_specific(
     .min(1.0)
 }
 
-/// The "specific" privacy-blanket bound: like [`blanket_epsilon`] but with
-/// the mechanism's exact blanket γ and exact loss-variable statistics —
-/// the thin free-function wrapper over [`SpecificBlanketBound`].
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or SpecificBlanketBound directly")]
-pub fn blanket_epsilon_specific(
-    profile: &BlanketProfile,
-    eps0: f64,
-    n: u64,
-    delta: f64,
-    opts: BlanketOptions,
-) -> Result<f64> {
-    SpecificBlanketBound::new(profile.clone(), eps0, n, opts)?.epsilon(delta)
-}
-
 /// Step 1 + 2 + 3 of the derivation with exact per-mechanism statistics.
 fn epsilon_specific(
     profile: &BlanketProfile,
@@ -427,26 +415,9 @@ fn delta_div(eps0: f64, m_plus_one: f64, eps: f64, bound: BlanketBound) -> f64 {
     .min(1.0)
 }
 
-/// Privacy-blanket amplification bound: the smallest ε (up to bisection
-/// resolution) such that `n` shuffled `ε₀`-LDP messages with blanket
-/// probability `gamma` are `(ε, δ)`-DP under this analysis — the thin
-/// free-function wrapper over [`GenericBlanketBound`].
-///
-/// Use [`generic_gamma`] for arbitrary randomizers or the mechanism-specific
-/// total-variation similarity (e.g. `γ_subset`, `γ_OLH` from Section 7.1 of
-/// the paper) for the "specific" curves.
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or GenericBlanketBound directly")]
-pub fn blanket_epsilon(
-    eps0: f64,
-    gamma: f64,
-    n: u64,
-    delta: f64,
-    opts: BlanketOptions,
-) -> Result<f64> {
-    GenericBlanketBound::with_gamma(eps0, gamma, n, opts)?.epsilon(delta)
-}
-
-/// Steps 1 + 2 + 3 with the universal loss envelope.
+/// Steps 1 + 2 + 3 with the universal loss envelope: the smallest ε (up to
+/// bisection resolution) such that `n` shuffled `ε₀`-LDP messages with
+/// blanket probability `gamma` are `(ε, δ)`-DP under this analysis.
 fn epsilon_generic(eps0: f64, gamma: f64, n: u64, delta: f64, opts: BlanketOptions) -> Result<f64> {
     if !(0.0 < delta && delta < 1.0) {
         return Err(Error::InvalidParameter(format!(
@@ -474,14 +445,19 @@ fn epsilon_generic(eps0: f64, gamma: f64, n: u64, delta: f64, opts: BlanketOptio
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the legacy wrappers to the engine
 mod tests {
     use super::*;
+
+    /// The generic bound's `ε(δ)` at blanket probability `gamma`,
+    /// construction errors included.
+    fn generic_eps(eps0: f64, gamma: f64, n: u64, delta: f64, opts: BlanketOptions) -> Result<f64> {
+        GenericBlanketBound::with_gamma(eps0, gamma, n, opts)?.epsilon(delta)
+    }
 
     #[test]
     fn amplifies_below_local_budget() {
         let eps0 = 1.0;
-        let eps = blanket_epsilon(
+        let eps = generic_eps(
             eps0,
             generic_gamma(eps0),
             100_000,
@@ -498,7 +474,7 @@ mod tests {
         let eps0 = 2.0f64;
         let n = 100_000;
         let delta = 1e-7;
-        let generic = blanket_epsilon(
+        let generic = generic_eps(
             eps0,
             generic_gamma(eps0),
             n,
@@ -523,7 +499,9 @@ mod tests {
             1e-12
         ));
         let specific =
-            blanket_epsilon_specific(&profile, eps0, n, delta, BlanketOptions::default()).unwrap();
+            SpecificBlanketBound::new(profile.clone(), eps0, n, BlanketOptions::default())
+                .and_then(|b| b.epsilon(delta))
+                .unwrap();
         assert!(
             specific < generic,
             "specific profile should help: {specific} vs {generic}"
@@ -543,7 +521,7 @@ mod tests {
         let n = 50_000;
         let delta = 1e-6;
         let g = generic_gamma(eps0);
-        let h = blanket_epsilon(
+        let h = generic_eps(
             eps0,
             g,
             n,
@@ -554,7 +532,7 @@ mod tests {
             },
         )
         .unwrap();
-        let b = blanket_epsilon(
+        let b = generic_eps(
             eps0,
             g,
             n,
@@ -565,7 +543,7 @@ mod tests {
             },
         )
         .unwrap();
-        let best = blanket_epsilon(eps0, g, n, delta, BlanketOptions::default()).unwrap();
+        let best = generic_eps(eps0, g, n, delta, BlanketOptions::default()).unwrap();
         assert!(
             best <= h + 1e-9 && best <= b + 1e-9,
             "best={best} h={h} b={b}"
@@ -576,8 +554,8 @@ mod tests {
     fn improves_with_population() {
         let eps0 = 1.0;
         let g = generic_gamma(eps0);
-        let a = blanket_epsilon(eps0, g, 10_000, 1e-6, BlanketOptions::default()).unwrap();
-        let b = blanket_epsilon(eps0, g, 1_000_000, 1e-6, BlanketOptions::default()).unwrap();
+        let a = generic_eps(eps0, g, 10_000, 1e-6, BlanketOptions::default()).unwrap();
+        let b = generic_eps(eps0, g, 1_000_000, 1e-6, BlanketOptions::default()).unwrap();
         assert!(b < a);
     }
 
@@ -585,11 +563,11 @@ mod tests {
     fn degenerate_populations_fall_back_to_local() {
         let eps0 = 1.0;
         assert_eq!(
-            blanket_epsilon(eps0, 1e-6, 2, 1e-6, BlanketOptions::default()).unwrap(),
+            generic_eps(eps0, 1e-6, 2, 1e-6, BlanketOptions::default()).unwrap(),
             eps0
         );
         assert_eq!(
-            blanket_epsilon(
+            generic_eps(
                 eps0,
                 generic_gamma(eps0),
                 1,
@@ -610,7 +588,7 @@ mod tests {
         for delta in [1e-4, 1e-7] {
             assert_eq!(
                 g.epsilon(delta).unwrap().to_bits(),
-                blanket_epsilon(eps0, generic_gamma(eps0), n, delta, opts)
+                epsilon_generic(eps0, generic_gamma(eps0), n, delta, opts)
                     .unwrap()
                     .to_bits()
             );
@@ -636,7 +614,7 @@ mod tests {
         let s = SpecificBlanketBound::new(profile.clone(), 2.0, n, opts).unwrap();
         assert_eq!(
             s.epsilon(1e-7).unwrap().to_bits(),
-            blanket_epsilon_specific(&profile, 2.0, n, 1e-7, opts)
+            epsilon_specific(&profile, 2.0, n, 1e-7, opts)
                 .unwrap()
                 .to_bits()
         );
@@ -645,10 +623,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        assert!(blanket_epsilon(0.0, 0.5, 100, 1e-6, BlanketOptions::default()).is_err());
-        assert!(blanket_epsilon(1.0, 0.0, 100, 1e-6, BlanketOptions::default()).is_err());
-        assert!(blanket_epsilon(1.0, 1.5, 100, 1e-6, BlanketOptions::default()).is_err());
-        assert!(blanket_epsilon(1.0, 0.5, 100, 0.0, BlanketOptions::default()).is_err());
+        assert!(generic_eps(0.0, 0.5, 100, 1e-6, BlanketOptions::default()).is_err());
+        assert!(generic_eps(1.0, 0.0, 100, 1e-6, BlanketOptions::default()).is_err());
+        assert!(generic_eps(1.0, 1.5, 100, 1e-6, BlanketOptions::default()).is_err());
+        assert!(generic_eps(1.0, 0.5, 100, 0.0, BlanketOptions::default()).is_err());
     }
 
     /// Monte-Carlo sanity check of the *exact identity* in step 2 of the

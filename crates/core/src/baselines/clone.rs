@@ -24,7 +24,7 @@
 //! numerical versions of the originals' dominating pairs.
 
 use crate::accountant::{NumericalBound, SearchOptions};
-use crate::bound::{names, AmplificationBound};
+use crate::bound::names;
 use crate::error::Result;
 use crate::params::VariationRatio;
 
@@ -54,24 +54,10 @@ pub fn stronger_clone_bound(eps0: f64, n: u64, opts: SearchOptions) -> Result<Nu
     NumericalBound::named(names::STRONGER_CLONE, stronger_clone_params(eps0)?, n, opts)
 }
 
-/// Numerical `(ε, δ)` amplification bound of the FMT'21 clone reduction —
-/// the thin free-function wrapper over [`clone_bound`].
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or clone_bound directly")]
-pub fn clone_epsilon(eps0: f64, n: u64, delta: f64, opts: SearchOptions) -> Result<f64> {
-    clone_bound(eps0, n, opts)?.epsilon(delta)
-}
-
-/// Numerical `(ε, δ)` amplification bound of the FMT'23 stronger clone —
-/// the thin free-function wrapper over [`stronger_clone_bound`].
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or stronger_clone_bound directly")]
-pub fn stronger_clone_epsilon(eps0: f64, n: u64, delta: f64, opts: SearchOptions) -> Result<f64> {
-    stronger_clone_bound(eps0, n, opts)?.epsilon(delta)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the legacy wrappers to the engine
 mod tests {
     use super::*;
+    use crate::bound::AmplificationBound;
     use vr_numerics::is_close;
 
     #[test]
@@ -90,8 +76,12 @@ mod tests {
     fn stronger_clone_beats_clone() {
         let opts = SearchOptions::default();
         for &eps0 in &[0.5f64, 1.0, 2.0, 4.0] {
-            let c = clone_epsilon(eps0, 100_000, 1e-7, opts).unwrap();
-            let sc = stronger_clone_epsilon(eps0, 100_000, 1e-7, opts).unwrap();
+            let c = clone_bound(eps0, 100_000, opts)
+                .and_then(|b| b.epsilon(1e-7))
+                .unwrap();
+            let sc = stronger_clone_bound(eps0, 100_000, opts)
+                .and_then(|b| b.epsilon(1e-7))
+                .unwrap();
             assert!(sc <= c + 1e-12, "eps0={eps0}: stronger {sc} vs clone {c}");
         }
     }
@@ -103,7 +93,9 @@ mod tests {
         let n = 100_000;
         let delta = 1e-7;
         let opts = SearchOptions::default();
-        let sc = stronger_clone_epsilon(eps0, n, delta, opts).unwrap();
+        let sc = stronger_clone_bound(eps0, n, opts)
+            .and_then(|b| b.epsilon(delta))
+            .unwrap();
         // Subset-selection-like beta, far below worst case:
         let beta = 0.1;
         let vr = VariationRatio::ldp_with_beta(eps0, beta).unwrap();
@@ -117,8 +109,12 @@ mod tests {
     #[test]
     fn amplification_improves_with_population() {
         let opts = SearchOptions::default();
-        let a = clone_epsilon(1.0, 10_000, 1e-6, opts).unwrap();
-        let b = clone_epsilon(1.0, 1_000_000, 1e-6, opts).unwrap();
+        let a = clone_bound(1.0, 10_000, opts)
+            .and_then(|b| b.epsilon(1e-6))
+            .unwrap();
+        let b = clone_bound(1.0, 1_000_000, opts)
+            .and_then(|b| b.epsilon(1e-6))
+            .unwrap();
         assert!(b < a);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! The original theorem assumes `ε₀ ≤ 1/2` and `n` large enough that the
 //! resulting ε is below `ε₀`; the paper's figures plot the formula across the
-//! whole `ε₀ ∈ [0.1, 5]` sweep, so [`efmrtt_epsilon`] returns the raw value
+//! whole `ε₀ ∈ [0.1, 5]` sweep, so [`EfmrttBound`] returns the raw value
 //! and exposes the premise check separately.
 
 use crate::bound::{check_eps, names, AmplificationBound, Validity};
@@ -64,25 +64,17 @@ impl AmplificationBound for EfmrttBound {
     }
 }
 
-/// `ε = ε₀·√(144·ln(1/δ)/n)` — the EFMRTT19 closed form, as the thin
-/// free-function wrapper over [`EfmrttBound`].
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) or EfmrttBound directly")]
-pub fn efmrtt_epsilon(eps0: f64, n: u64, delta: f64) -> f64 {
-    assert!(eps0 > 0.0 && n > 0 && (0.0..1.0).contains(&delta) && delta > 0.0);
-    // Same expression as `EfmrttBound::epsilon`; inlined so this wrapper
-    // carries no Result to re-panic on (the tests pin the two equal).
-    eps0 * (144.0 * (1.0 / delta).ln() / n as f64).sqrt()
-}
-
 /// Whether the original theorem's premises hold for these inputs
 /// (`ε₀ ≤ 1/2` and the bound is actually an amplification, ε < ε₀).
-#[allow(deprecated)] // transitional: delegates to the deprecated closed form
+/// Inputs the bound rejects do not satisfy the premises.
 pub fn efmrtt_premises_hold(eps0: f64, n: u64, delta: f64) -> bool {
-    eps0 <= 0.5 && efmrtt_epsilon(eps0, n, delta) < eps0
+    eps0 <= 0.5
+        && EfmrttBound::new(eps0, n)
+            .and_then(|b| b.epsilon(delta))
+            .is_ok_and(|eps| eps < eps0)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the legacy wrappers to the engine
 mod tests {
     use super::*;
     use vr_numerics::is_close;
@@ -92,7 +84,10 @@ mod tests {
         // eps0 = 0.5, n = 10^6, delta = 1e-6: 0.5 * sqrt(144 * ln(1e6)/1e6).
         let expected = 0.5 * (144.0 * (1e6f64).ln() / 1e6).sqrt();
         assert!(is_close(
-            efmrtt_epsilon(0.5, 1_000_000, 1e-6),
+            EfmrttBound::new(0.5, 1_000_000)
+                .unwrap()
+                .epsilon(1e-6)
+                .unwrap(),
             expected,
             1e-12
         ));
@@ -100,13 +95,11 @@ mod tests {
 
     #[test]
     fn scaling_in_n_and_delta() {
-        let e1 = efmrtt_epsilon(0.5, 10_000, 1e-6);
-        let e2 = efmrtt_epsilon(0.5, 40_000, 1e-6);
+        let eps = |n, delta| EfmrttBound::new(0.5, n).unwrap().epsilon(delta).unwrap();
+        let e1 = eps(10_000, 1e-6);
+        let e2 = eps(40_000, 1e-6);
         assert!(is_close(e1 / e2, 2.0, 1e-12), "inverse-sqrt(n) scaling");
-        assert!(
-            efmrtt_epsilon(0.5, 10_000, 1e-9) > e1,
-            "smaller delta is harder"
-        );
+        assert!(eps(10_000, 1e-9) > e1, "smaller delta is harder");
     }
 
     #[test]
@@ -114,7 +107,8 @@ mod tests {
         let b = EfmrttBound::new(0.5, 1_000_000).unwrap();
         for delta in [1e-4, 1e-6, 1e-9] {
             let eps = b.epsilon(delta).unwrap();
-            assert!(is_close(eps, efmrtt_epsilon(0.5, 1_000_000, delta), 1e-12));
+            let closed_form = 0.5 * (144.0 * (1.0 / delta).ln() / 1e6).sqrt();
+            assert!(is_close(eps, closed_form, 1e-12));
             // Closed-form inversion: δ(ε(δ)) = δ.
             assert!(is_close(b.delta(eps).unwrap(), delta, 1e-10));
         }

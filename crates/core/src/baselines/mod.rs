@@ -8,26 +8,19 @@
 //! * [`blanket`] — privacy-blanket style Hoeffding/Bennett bounds
 //!   (Balle–Bell–Gascón–Nissim, CRYPTO 2019), re-derived from first
 //!   principles (see the module docs for the derivation; this is a
-//!   reconstruction, not a transcription — recorded in DESIGN.md §4).
+//!   reconstruction, not a transcription).
 //!
-//! Every baseline is exposed both as an
+//! Every baseline is exposed as an
 //! [`AmplificationBound`](crate::bound::AmplificationBound) adapter
-//! (registered by [`crate::bound::BoundRegistry::ldp_baselines`]) and as the
-//! original free functions, which are now thin wrappers over the adapters.
+//! (registered by [`crate::bound::BoundRegistry::ldp_baselines`]).
 
 pub mod blanket;
 pub mod clone;
 pub mod efmrtt;
 
-#[allow(deprecated)]
-pub use blanket::{blanket_epsilon, blanket_epsilon_specific};
 pub use blanket::{
     generic_gamma, BlanketBound, BlanketOptions, BlanketProfile, GenericBlanketBound,
     SpecificBlanketBound,
 };
 pub use clone::{clone_bound, clone_params, stronger_clone_bound, stronger_clone_params};
-#[allow(deprecated)]
-pub use clone::{clone_epsilon, stronger_clone_epsilon};
-#[allow(deprecated)]
-pub use efmrtt::efmrtt_epsilon;
 pub use efmrtt::{efmrtt_premises_hold, EfmrttBound};

@@ -50,9 +50,7 @@
 //! [`engine::AmplificationQuery`] describes what is wanted (δ at ε, ε at δ,
 //! a whole curve, or a composed multi-round budget) and an
 //! [`engine::AnalysisEngine`] serves single queries or batches from a
-//! shared, thread-safe cache of memoized evaluators. The legacy free
-//! functions (`analytic_epsilon`, `blanket_epsilon`, `clone_epsilon`, …)
-//! remain as deprecated thin wrappers.
+//! shared, thread-safe cache of memoized evaluators.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,8 +51,10 @@ impl CheuZhilyaev {
         self.blanket_messages() + 1
     }
 
-    /// The designated analysis of the original work, **reconstructed** (see
-    /// DESIGN.md §4): each blanket bit `Bern(f)` is a uniform bit with
+    /// The designated analysis of the original work, **reconstructed** (the
+    /// Figure 3 comparison is pinned by
+    /// `cheu_zhilyaev_variation_ratio_beats_original` below): each blanket
+    /// bit `Bern(f)` is a uniform bit with
     /// probability `2f`, so each coordinate's count is protected by the
     /// binary-randomized-response shuffle bound of Cheu et al.
     /// (EUROCRYPT 2019), `ε_c = √(32·ln(4/δ_c)/λ)` for

@@ -34,6 +34,13 @@
 //! the vendored `crates/compat` stand-ins, and the `vr-bench` figure
 //! drivers are exempt: a panic there is an assertion, not an outage.
 //!
+//! # Graph passes
+//!
+//! Two [`passes`] run over a name-based workspace call graph ([`graph`]):
+//! `panic-reach` (no wire entry point reaches a panic site) and
+//! `lock-order` (every lock acquisition respects the declared order in
+//! [`policy`]). Their findings are never waivable.
+//!
 //! # Waivers
 //!
 //! A finding the team decides is *correct code* gets an inline waiver with
@@ -106,14 +113,11 @@ pub fn lint_source(rel: &str, source: &str) -> Result<Option<FileReport>, ToolEr
     Ok(scan_source(rel, source)?.map(|(_, r)| r))
 }
 
-/// Run the graph passes (call-graph build + panic-reach + lock-order +
-/// wire-schema) over a set of in-memory sources keyed by
-/// workspace-relative path. `readme` is the root `README.md` body (empty
-/// string disables the README surface check). The entry the pass golden
-/// tests drive with fixture mini-workspaces.
+/// Run the graph passes (call-graph build + panic-reach + lock-order) over
+/// a set of in-memory sources keyed by workspace-relative path. The entry
+/// the pass golden tests drive with fixture mini-workspaces.
 pub fn analyze_sources(
     sources: &BTreeMap<String, String>,
-    readme: &str,
 ) -> Result<(Vec<PassFinding>, report::GraphStats), ToolError> {
     let mut units = Vec::new();
     let mut reports = Vec::new();
@@ -123,7 +127,7 @@ pub fn analyze_sources(
             reports.push(file_report);
         }
     }
-    Ok(passes::run_all(&units, &reports, readme))
+    Ok(passes::run_all(&units, &reports))
 }
 
 /// Walk the workspace at `root`, lint every `.rs` file in a policy zone,
@@ -152,8 +156,7 @@ pub fn lint_workspace(root: &Path) -> Result<(RunReport, BTreeMap<String, String
         }
     }
     // `units` and `report.files` are parallel by construction above.
-    let readme = fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let (graph_findings, stats) = passes::run_all(&units, &report.files, &readme);
+    let (graph_findings, stats) = passes::run_all(&units, &report.files);
     report.graph = graph_findings;
     report.graph_stats = stats;
     Ok((report, sources))

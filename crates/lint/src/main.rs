@@ -56,7 +56,6 @@ fn main() -> ExitCode {
         for (pass, rules) in [
             ("panic-reach", "reachable-panic"),
             ("lock-order", "lock-inversion, lock-double-acquire"),
-            ("wire-schema", "missing-op, undeclared-op"),
         ] {
             println!("{:<16} {:<18} {rules}", pass, "graph");
         }

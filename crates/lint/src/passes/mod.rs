@@ -8,19 +8,13 @@
 
 pub mod lock_order;
 pub mod panic_reach;
-pub mod wire_schema;
 
 use crate::graph::{self, FileUnit};
 use crate::report::{FileReport, GraphStats, PassFinding};
 
 /// Run every graph pass over the scanned files. `files` and `reports` are
-/// parallel (same construction order in `lint_workspace`); `readme` is the
-/// root `README.md` body for the wire-schema surface check.
-pub fn run_all(
-    files: &[FileUnit],
-    reports: &[FileReport],
-    readme: &str,
-) -> (Vec<PassFinding>, GraphStats) {
+/// parallel (same construction order in `lint_workspace`).
+pub fn run_all(files: &[FileUnit], reports: &[FileReport]) -> (Vec<PassFinding>, GraphStats) {
     let graph = graph::build(files);
     let stats = GraphStats {
         functions: graph.fns.len(),
@@ -30,7 +24,6 @@ pub fn run_all(
     let mut findings = Vec::new();
     findings.extend(panic_reach::run(files, &graph, reports));
     findings.extend(lock_order::run(files, &graph));
-    findings.extend(wire_schema::run(files, readme));
     // Deterministic report order regardless of pass internals.
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.span.line, a.span.col, a.rule).cmp(&(

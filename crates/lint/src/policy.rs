@@ -274,85 +274,6 @@ impl LockClass {
     }
 }
 
-/// One wire op as the protocol must expose it on every surface.
-#[derive(Debug, Clone, Copy)]
-pub struct WireOp {
-    /// The `"op"` string a request frame carries.
-    pub name: &'static str,
-    /// The dedicated `Client` method for this op, when one must exist.
-    /// Query-family ops (`delta`, `epsilon`, …) route through the typed
-    /// `AmplificationQuery` builder instead of per-op verbs, so they
-    /// declare `None` here.
-    pub client_verb: Option<&'static str>,
-}
-
-/// The declared op set: `protocol.rs` dispatch, `Client` verbs, `vr-query`
-/// usage, and the README op tables are all checked against this table (and
-/// the dispatch set is checked back against it), so a new op cannot ship
-/// half-wired.
-pub const WIRE_OPS: &[WireOp] = &[
-    WireOp {
-        name: "stats",
-        client_verb: Some("stats"),
-    },
-    WireOp {
-        name: "shutdown",
-        client_verb: Some("shutdown_server"),
-    },
-    WireOp {
-        name: "delta",
-        client_verb: None,
-    },
-    WireOp {
-        name: "epsilon",
-        client_verb: None,
-    },
-    WireOp {
-        name: "curve",
-        client_verb: None,
-    },
-    WireOp {
-        name: "composed",
-        client_verb: None,
-    },
-    WireOp {
-        name: "min_n",
-        client_verb: None,
-    },
-    WireOp {
-        name: "max_eps0",
-        client_verb: None,
-    },
-    WireOp {
-        name: "sweep",
-        client_verb: Some("sweep"),
-    },
-    WireOp {
-        name: "batch",
-        client_verb: Some("run_batch"),
-    },
-    WireOp {
-        name: "charge",
-        client_verb: Some("charge"),
-    },
-    WireOp {
-        name: "remaining",
-        client_verb: Some("remaining"),
-    },
-    WireOp {
-        name: "affordable_rounds",
-        client_verb: Some("affordable_rounds"),
-    },
-    WireOp {
-        name: "ledger_import",
-        client_verb: Some("ledger_import"),
-    },
-    WireOp {
-        name: "ledger_export",
-        client_verb: Some("ledger_export"),
-    },
-];
-
 /// Index of the `]` matching the `[` at `open`.
 fn matching_bracket(tokens: &[Tok], open: usize) -> Option<usize> {
     let mut depth = 0i32;

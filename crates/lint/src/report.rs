@@ -7,7 +7,7 @@ use crate::rules::{Finding, Waiver};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One finding from a graph pass (panic-reach, lock-order, wire-schema).
+/// One finding from a graph pass (panic-reach, lock-order).
 /// Unlike token-rule findings, pass findings are **never waivable**: they
 /// assert cross-file invariants, and a per-site comment cannot vouch for a
 /// property of the whole call graph.
@@ -15,11 +15,10 @@ use std::fmt::Write as _;
 pub struct PassFinding {
     /// Workspace-relative path the finding anchors to.
     pub file: String,
-    /// The pass that produced it (`panic-reach`, `lock-order`,
-    /// `wire-schema`).
+    /// The pass that produced it (`panic-reach`, `lock-order`).
     pub pass: &'static str,
     /// Stable finding id (`reachable-panic`, `lock-inversion`,
-    /// `lock-double-acquire`, `missing-op`, `undeclared-op`, …).
+    /// `lock-double-acquire`).
     pub rule: &'static str,
     pub span: Span,
     pub message: String,
@@ -73,7 +72,7 @@ impl RunReport {
     /// when clean, so "zero" is an asserted value rather than an absence).
     pub fn pass_counts(&self) -> BTreeMap<&'static str, usize> {
         let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for pass in ["panic-reach", "lock-order", "wire-schema"] {
+        for pass in ["panic-reach", "lock-order"] {
             counts.insert(pass, 0);
         }
         for f in &self.graph {
@@ -338,7 +337,7 @@ mod tests {
         assert!(json.contains("\"tool\":\"vr-lint\",\"schema\":1,"));
         assert!(json.contains("\"violations\":1"));
         assert!(json.contains("\"files_skipped\":2"));
-        assert!(json.contains("\"passes\":{\"lock-order\":0,\"panic-reach\":0,\"wire-schema\":0}"));
+        assert!(json.contains("\"passes\":{\"lock-order\":0,\"panic-reach\":0}"));
         assert!(json.contains(
             "\"float-eq\":{\"policy\":\"float-discipline\",\"violations\":1,\"waived\":1}"
         ));

@@ -10,15 +10,15 @@ use std::collections::BTreeMap;
 
 use vr_lint::graph::{self, FileUnit};
 use vr_lint::lexer::lex;
-use vr_lint::policy::{classify, crate_of, exempt_mask, WIRE_OPS};
+use vr_lint::policy::{classify, crate_of, exempt_mask};
 use vr_lint::report::PassFinding;
 
-fn analyze(files: &[(&str, &str)], readme: &str) -> Vec<PassFinding> {
+fn analyze(files: &[(&str, &str)]) -> Vec<PassFinding> {
     let sources: BTreeMap<String, String> = files
         .iter()
         .map(|(rel, src)| (rel.to_string(), src.to_string()))
         .collect();
-    let (findings, _) = vr_lint::analyze_sources(&sources, readme).expect("fixtures lex");
+    let (findings, _) = vr_lint::analyze_sources(&sources).expect("fixtures lex");
     findings
 }
 
@@ -27,23 +27,20 @@ fn reachable_unwrap_in_unpoliced_zone_is_found() {
     // `core-lib` has no token-level unwrap rule by design; the pass must
     // flag the unwrap anyway because a wire seed reaches it — and must
     // NOT flag the identical unwrap in the uncalled sibling.
-    let findings = analyze(
-        &[
-            (
-                "crates/server/src/handler.rs",
-                "use vr_core::compute_bound;\n\
+    let findings = analyze(&[
+        (
+            "crates/server/src/handler.rs",
+            "use vr_core::compute_bound;\n\
                  pub fn handle_request() -> f64 {\n    compute_bound(3)\n}\n",
-            ),
-            (
-                "crates/core/src/curves.rs",
-                "pub fn compute_bound(x: u64) -> f64 {\n\
+        ),
+        (
+            "crates/core/src/curves.rs",
+            "pub fn compute_bound(x: u64) -> f64 {\n\
                  \x20   Some(x as f64).unwrap()\n}\n\
                  pub fn never_called() -> f64 {\n\
                  \x20   Some(1.0).unwrap()\n}\n",
-            ),
-        ],
-        "",
-    );
+        ),
+    ]);
     let panics: Vec<&PassFinding> = findings
         .iter()
         .filter(|f| f.rule == "reachable-panic")
@@ -69,22 +66,19 @@ fn reachable_unwrap_in_unpoliced_zone_is_found() {
 fn waiver_does_not_cross_the_call_graph() {
     // A waived unwrap is fine as a local invariant, but once a wire seed
     // reaches the enclosing fn the waiver must be overridden.
-    let findings = analyze(
-        &[
-            (
-                "crates/server/src/handler.rs",
-                "use vr_core::waived_helper;\n\
+    let findings = analyze(&[
+        (
+            "crates/server/src/handler.rs",
+            "use vr_core::waived_helper;\n\
                  pub fn serve() -> f64 {\n    waived_helper()\n}\n",
-            ),
-            (
-                "crates/core/src/accountant.rs",
-                "pub fn waived_helper() -> f64 {\n\
+        ),
+        (
+            "crates/core/src/accountant.rs",
+            "pub fn waived_helper() -> f64 {\n\
                  \x20   // vr-lint: allow(unwrap-call) — fixture invariant\n\
                  \x20   Some(1.0).unwrap()\n}\n",
-            ),
-        ],
-        "",
-    );
+        ),
+    ]);
     let hit = findings
         .iter()
         .find(|f| f.rule == "reachable-panic")
@@ -100,10 +94,9 @@ fn waiver_does_not_cross_the_call_graph() {
 
 #[test]
 fn lock_inversion_and_double_acquire_are_found_in_order_is_not() {
-    let findings = analyze(
-        &[(
-            "crates/ledger/src/lib.rs",
-            "impl BudgetLedger {\n\
+    let findings = analyze(&[(
+        "crates/ledger/src/lib.rs",
+        "impl BudgetLedger {\n\
              \x20   fn inverted(&self) {\n\
              \x20       let table = self.table.write();\n\
              \x20       let stripe = self.shards.lock();\n\
@@ -123,9 +116,7 @@ fn lock_inversion_and_double_acquire_are_found_in_order_is_not() {
              \x20       drop(stripe);\n\
              \x20   }\n\
              }\n",
-        )],
-        "",
-    );
+    )]);
     let inversions: Vec<&PassFinding> = findings
         .iter()
         .filter(|f| f.rule == "lock-inversion")
@@ -147,56 +138,6 @@ fn lock_inversion_and_double_acquire_are_found_in_order_is_not() {
         findings.iter().all(|f| f.span.line < 14),
         "the compliant fn must produce no findings: {findings:?}"
     );
-}
-
-#[test]
-fn half_wired_op_and_undeclared_op_are_found() {
-    // A dispatch with one declared op, one alien op, and 13 declared ops
-    // missing: one undeclared-op plus a missing-op per absent arm.
-    let findings = analyze(
-        &[(
-            "crates/server/src/protocol.rs",
-            "impl Request {\n\
-             \x20   pub fn from_json(doc: &Json) -> Result<Self> {\n\
-             \x20       match op {\n\
-             \x20           \"stats\" => stats_arm(),\n\
-             \x20           \"bogus\" => alien_arm(),\n\
-             \x20           _ => other(),\n\
-             \x20       }\n\
-             \x20   }\n\
-             }\n",
-        )],
-        "",
-    );
-    let undeclared: Vec<&PassFinding> = findings
-        .iter()
-        .filter(|f| f.rule == "undeclared-op")
-        .collect();
-    assert_eq!(undeclared.len(), 1, "findings: {findings:?}");
-    assert!(undeclared[0].message.contains("bogus"));
-    let missing: Vec<&PassFinding> = findings.iter().filter(|f| f.rule == "missing-op").collect();
-    assert_eq!(
-        missing.len(),
-        WIRE_OPS.len() - 1,
-        "every declared op but `stats` lacks an arm: {findings:?}"
-    );
-    assert!(missing.iter().all(|f| !f.message.contains("`\"stats\"`")));
-}
-
-#[test]
-fn readme_op_table_gaps_are_found() {
-    // README mentions every declared op except `charge`; only that gap
-    // may fire (no protocol/client/CLI fixtures → those surfaces skip).
-    let readme: String = WIRE_OPS
-        .iter()
-        .filter(|w| w.name != "charge")
-        .map(|w| format!("| `{}` |\n", w.name))
-        .collect();
-    let findings = analyze(&[], &readme);
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert_eq!(findings[0].file, "README.md");
-    assert_eq!(findings[0].rule, "missing-op");
-    assert!(findings[0].message.contains("charge"));
 }
 
 /// Self-contained adversarial snippets: call cycles, malformed items,

@@ -149,8 +149,7 @@ mod tests {
         }
     }
 
-    /// **Reproduction finding (documented in DESIGN.md §7 and
-    /// EXPERIMENTS.md):** the paper's generalized reduction (Lemma 4.5)
+    /// **Reproduction finding:** the paper's generalized reduction (Lemma 4.5)
     /// allows each other user's residual mixture component to differ from
     /// the victim's common component. When they differ — e.g. GRR with
     /// `d ≥ 4`, or other users holding the victim's own differing values —

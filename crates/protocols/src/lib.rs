@@ -28,8 +28,6 @@ pub mod range_query;
 pub mod shuffler;
 
 pub use heavy_hitters::HeavyHitterProtocol;
-#[allow(deprecated)]
-pub use pipeline::amplified_epsilon;
 pub use pipeline::{
     analyze, plan_deployment, run_frequency_protocol, serve_epsilons, DeploymentPlan, ProtocolRun,
 };

@@ -92,15 +92,6 @@ pub fn serve_epsilons<M: FrequencyMechanism>(
         .collect()
 }
 
-/// End-to-end privacy statement for a pipeline run: the amplified `(ε, δ)`
-/// of the shuffled messages, taken from the tightest applicable bound in
-/// the engine's registry (never looser than the variation-ratio accountant
-/// alone).
-#[deprecated(note = "use AnalysisEngine (vr_core::engine) — e.g. serve_epsilons")]
-pub fn amplified_epsilon<M: FrequencyMechanism>(mechanism: &M, n: u64, delta: f64) -> Result<f64> {
-    serve_epsilons(mechanism, n, &[delta]).map(|eps| eps[0])
-}
-
 /// Per-bound `(name, ε)` report at one `δ` — the pipeline's accounting
 /// transparency surface: which analyses apply to this mechanism and what
 /// each certifies. Inapplicable bounds are reported with the error message.
@@ -251,18 +242,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the legacy wrapper to the engine path
     fn amplification_statement_is_available() {
         let mech = Grr::new(16, 1.0);
-        let eps = amplified_epsilon(&mech, 100_000, 1e-8).unwrap();
+        let eps = serve_epsilons(&mech, 100_000, &[1e-8]).unwrap()[0];
         assert!(
             eps < 0.06,
             "GRR-16 at n=1e5 should amplify strongly, got {eps}"
-        );
-        // The legacy one-shot is exactly the served batch of size one.
-        assert_eq!(
-            eps.to_bits(),
-            serve_epsilons(&mech, 100_000, &[1e-8]).unwrap()[0].to_bits()
         );
     }
 

@@ -35,9 +35,10 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use vr_server::{Client, Json};
+use vr_server::{Client, Json, Op};
 
 fn usage() -> ! {
+    let ops: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
     eprintln!(
         "usage:\n\
          vr-query --addr HOST:PORT --op OP [field flags...]\n\
@@ -45,13 +46,13 @@ fn usage() -> ! {
          vr-query --addr HOST:PORT --batch   (one query frame per stdin line)\n\
          vr-query --addr HOST:PORT --stats | --shutdown\n\
          \n\
-         ops: delta | epsilon | curve | composed | min_n | max_eps0 | sweep | stats | shutdown\n\
-         ledger ops: charge | remaining | affordable_rounds | ledger_import | ledger_export\n\
+         ops: {}\n\
          source: --eps0 E (worst-case LDP)  or  --p P --beta B --q Q [--eps0 E]\n\
          fields: --n N  --eps X  --delta X  --eps-max X  --points K  --rounds R  --n-hi N\n\
          sweep:  --axis n|eps0  --grid V1,V2,...  --target OP\n\
          ledger: --user ID  --cap R  --rows 'ROW;ROW;...' (ledger CSV)  --users ID1,ID2,...\n\
-         selection: --bound NAME | --bound best-of (default: registry portfolio)"
+         selection: --bound NAME | --bound best-of (default: registry portfolio)",
+        ops.join(" | ")
     );
     std::process::exit(2);
 }

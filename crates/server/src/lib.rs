@@ -69,7 +69,7 @@ pub mod server;
 pub use client::{Client, ClientError, ServedReport, ServedValue};
 pub use json::Json;
 pub use protocol::{
-    BatchItem, BatchPayload, Command, ErrorKind, LedgerOp, Reply, ReplyBody, Request,
+    BatchItem, BatchPayload, Command, ErrorKind, LedgerOp, Op, Reply, ReplyBody, Request,
     StatsSnapshot, SweepOutcome, WireError, DEFAULT_AFFORD_CAP,
 };
 pub use server::{Server, ServerConfig};

@@ -8,7 +8,7 @@
 //!
 //! | Field | Type | Meaning |
 //! |---|---|---|
-//! | `op` | string | `"delta"`, `"epsilon"`, `"curve"`, `"composed"`, `"min_n"`, `"max_eps0"`, `"sweep"`, `"batch"`, `"charge"`, `"remaining"`, `"affordable_rounds"`, `"ledger_import"`, `"ledger_export"`, `"stats"`, `"shutdown"` |
+//! | `op` | string | the [`Op::name`] of one entry of [`Op::ALL`] |
 //! | `id` | string/number | optional; echoed verbatim in the reply |
 //! | `eps0` | number | worst-case `ε₀`-LDP source (alone), or the baseline budget (with `p`/`beta`/`q`); for `max_eps0` the search *ceiling* |
 //! | `p`, `beta`, `q` | number | explicit variation-ratio source (`p` may be the string `"inf"`; rejected for `max_eps0`) |
@@ -87,6 +87,97 @@ pub const MAX_BATCH_QUERIES: usize = 1024;
 /// for any realistic deployment schedule while keeping a hostile frame from
 /// driving the exponential bracket into astronomically priced probes.
 pub const DEFAULT_AFFORD_CAP: u32 = 1 << 20;
+
+/// Declares [`Op`] from one table: a row per op holds its variant, its
+/// wire `op` spelling, and the `stats` key that counts it.
+macro_rules! wire_ops {
+    ($($(#[doc = $doc:literal])* $variant:ident => $name:literal, $key:expr;)+) => {
+        /// Every wire op. Parsing, the daemon's per-op counters, the
+        /// `stats` keys and the `vr-query` help all read this one table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Op {
+            $($(#[doc = $doc])* $variant,)+
+        }
+
+        impl Op {
+            /// Every op, in table order (also the order of the README's
+            /// request schema, which a unit test holds to this list).
+            pub const ALL: &'static [Op] = &[$(Op::$variant),+];
+
+            /// The `"op"` spelling a frame carries.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Op::$variant => $name,)+
+                }
+            }
+
+            /// The `stats` reply key counting this op (`None`: not counted).
+            pub fn stats_key(self) -> Option<&'static str> {
+                match self {
+                    $(Op::$variant => $key,)+
+                }
+            }
+        }
+    };
+}
+
+wire_ops! {
+    /// `δ` at a queried `ε`.
+    Delta => "delta", Some("op_delta");
+    /// `ε` at a queried `δ`.
+    Epsilon => "epsilon", Some("op_epsilon");
+    /// The `(ε, δ)` curve over a grid.
+    Curve => "curve", Some("op_curve");
+    /// `ε` of adaptively composed shuffle rounds.
+    Composed => "composed", Some("op_composed");
+    /// Planner: the minimal population meeting a target.
+    MinN => "min_n", Some("op_min_n");
+    /// Planner: the largest local budget meeting a target.
+    MaxEps0 => "max_eps0", Some("op_max_eps0");
+    /// A query template fanned over a parameter grid.
+    Sweep => "sweep", Some("op_sweep");
+    /// Many query or scalar ledger frames in one frame.
+    Batch => "batch", Some("op_batch");
+    /// Ledger: compose rounds onto a user's entry.
+    Charge => "charge", Some("op_charge");
+    /// Ledger: a user's spend and headroom.
+    Remaining => "remaining", Some("op_remaining");
+    /// Ledger: certified count of additional affordable rounds.
+    AffordableRounds => "affordable_rounds", Some("op_affordable");
+    /// Ledger: frame-atomic bulk load of CSV rows.
+    LedgerImport => "ledger_import", Some("op_ledger_import");
+    /// Ledger: export users' entries as CSV rows.
+    LedgerExport => "ledger_export", Some("op_ledger_export");
+    /// The daemon's counters.
+    Stats => "stats", Some("op_stats");
+    /// Graceful shutdown.
+    Shutdown => "shutdown", None;
+}
+
+impl Op {
+    /// The op a frame's `"op"` string names, if any.
+    fn from_name(name: &str) -> Option<Op> {
+        Op::ALL.iter().copied().find(|op| op.name() == name)
+    }
+
+    /// Position of the op in [`Op::ALL`] (an index for per-op arrays).
+    pub(crate) fn index(self) -> usize {
+        // ALL lists every variant, so the fallback is never taken.
+        Op::ALL.iter().position(|&op| op == self).unwrap_or(0)
+    }
+
+    /// The op of a query's target.
+    fn of_query(q: &AmplificationQuery) -> Op {
+        match q.target() {
+            QueryTarget::Delta { .. } => Op::Delta,
+            QueryTarget::Epsilon { .. } => Op::Epsilon,
+            QueryTarget::Curve { .. } => Op::Curve,
+            QueryTarget::Composed { .. } => Op::Composed,
+            QueryTarget::MinPopulation { .. } => Op::MinN,
+            QueryTarget::MaxLocalBudget { .. } => Op::MaxEps0,
+        }
+    }
+}
 
 /// Machine-readable error category of a wire error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,6 +322,20 @@ pub enum Command {
     Shutdown,
 }
 
+impl Command {
+    /// The wire op this command travels as.
+    pub fn op(&self) -> Op {
+        match self {
+            Command::Query(q) => Op::of_query(q),
+            Command::Sweep { .. } => Op::Sweep,
+            Command::Batch(_) => Op::Batch,
+            Command::Ledger(op) => op.op(),
+            Command::Stats => Op::Stats,
+            Command::Shutdown => Op::Shutdown,
+        }
+    }
+}
+
 /// One operation against the daemon's shared [`vr_ledger::BudgetLedger`].
 /// The scalar ops (`charge` / `remaining` / `affordable_rounds`) may also
 /// ride inside a `batch` frame, where they execute **in submission order**
@@ -283,14 +388,14 @@ pub enum LedgerOp {
 }
 
 impl LedgerOp {
-    /// The wire `op` spelling.
-    pub fn op_name(&self) -> &'static str {
+    /// The wire op this ledger op travels as.
+    pub fn op(&self) -> Op {
         match self {
-            LedgerOp::Charge { .. } => "charge",
-            LedgerOp::Remaining { .. } => "remaining",
-            LedgerOp::AffordableRounds { .. } => "affordable_rounds",
-            LedgerOp::Import(_) => "ledger_import",
-            LedgerOp::Export(_) => "ledger_export",
+            LedgerOp::Charge { .. } => Op::Charge,
+            LedgerOp::Remaining { .. } => Op::Remaining,
+            LedgerOp::AffordableRounds { .. } => Op::AffordableRounds,
+            LedgerOp::Import(_) => Op::LedgerImport,
+            LedgerOp::Export(_) => Op::LedgerExport,
         }
     }
 }
@@ -304,6 +409,16 @@ pub enum BatchPayload {
     Query(Box<AmplificationQuery>),
     /// A scalar ledger op (`charge` / `remaining` / `affordable_rounds`).
     Ledger(LedgerOp),
+}
+
+impl BatchPayload {
+    /// The wire op this item travels as.
+    pub fn op(&self) -> Op {
+        match self {
+            BatchPayload::Query(q) => Op::of_query(q),
+            BatchPayload::Ledger(op) => op.op(),
+        }
+    }
 }
 
 /// One entry of a `batch` request: the item's own correlation id (echoed in
@@ -378,28 +493,30 @@ impl Request {
             return Err(WireError::malformed("request must be a JSON object"));
         }
         let id = extract_id(frame);
-        let op = frame
+        let name = frame
             .get("op")
             .and_then(Json::as_str)
             .ok_or_else(|| WireError::malformed("request needs a string `op` field"))?;
+        let op = Op::from_name(name).ok_or_else(|| {
+            let expected: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+            WireError::malformed(format!(
+                "unknown op `{name}` (expected {})",
+                expected.join("/")
+            ))
+        })?;
         let command = match op {
-            "stats" => Command::Stats,
-            "shutdown" => Command::Shutdown,
-            "delta" | "epsilon" | "curve" | "composed" | "min_n" | "max_eps0" => {
+            Op::Stats => Command::Stats,
+            Op::Shutdown => Command::Shutdown,
+            Op::Delta | Op::Epsilon | Op::Curve | Op::Composed | Op::MinN | Op::MaxEps0 => {
                 Command::Query(Box::new(parse_query(frame, op)?))
             }
-            "sweep" => parse_sweep(frame)?,
-            "batch" => parse_batch(frame)?,
-            "charge" | "remaining" | "affordable_rounds" | "ledger_import" | "ledger_export" => {
-                Command::Ledger(parse_ledger(frame, op)?)
-            }
-            other => {
-                return Err(WireError::malformed(format!(
-                    "unknown op `{other}` (expected delta/epsilon/curve/composed/min_n/\
-                     max_eps0/sweep/batch/charge/remaining/affordable_rounds/ledger_import/\
-                     ledger_export/stats/shutdown)"
-                )))
-            }
+            Op::Sweep => parse_sweep(frame)?,
+            Op::Batch => parse_batch(frame)?,
+            Op::Charge
+            | Op::Remaining
+            | Op::AffordableRounds
+            | Op::LedgerImport
+            | Op::LedgerExport => Command::Ledger(parse_ledger(frame, op)?),
         };
         Ok(Request { id, command })
     }
@@ -410,25 +527,23 @@ impl Request {
         if let Some(id) = &self.id {
             members.push(("id".into(), id.clone()));
         }
+        members.push(("op".into(), Json::Str(self.command.op().name().into())));
         match &self.command {
-            Command::Stats => members.push(("op".into(), Json::Str("stats".into()))),
-            Command::Shutdown => members.push(("op".into(), Json::Str("shutdown".into()))),
-            Command::Query(q) => {
-                members.push(("op".into(), Json::Str(query_op(q).into())));
-                push_query_fields(&mut members, q);
-            }
+            Command::Stats | Command::Shutdown => {}
+            Command::Query(q) => push_query_fields(&mut members, q),
             Command::Sweep { template, axis } => {
-                members.push(("op".into(), Json::Str("sweep".into())));
                 members.push(("axis".into(), Json::Str(axis.kind().into())));
                 members.push((
                     "grid".into(),
                     Json::Arr(axis.grid_values().iter().map(|&x| Json::Num(x)).collect()),
                 ));
-                members.push(("target".into(), Json::Str(query_op(template).into())));
+                members.push((
+                    "target".into(),
+                    Json::Str(Op::of_query(template).name().into()),
+                ));
                 push_query_fields(&mut members, template);
             }
             Command::Batch(items) => {
-                members.push(("op".into(), Json::Str("batch".into())));
                 let queries = items
                     .iter()
                     .map(|item| match &item.payload {
@@ -437,11 +552,9 @@ impl Request {
                             if let Some(id) = &item.id {
                                 fields.push(("id".into(), id.clone()));
                             }
+                            fields.push(("op".into(), Json::Str(payload.op().name().into())));
                             match payload {
-                                BatchPayload::Query(q) => {
-                                    fields.push(("op".into(), Json::Str(query_op(q).into())));
-                                    push_query_fields(&mut fields, q);
-                                }
+                                BatchPayload::Query(q) => push_query_fields(&mut fields, q),
                                 BatchPayload::Ledger(op) => push_ledger_fields(&mut fields, op),
                             }
                             Json::Obj(fields)
@@ -489,19 +602,19 @@ fn parse_batch_item(item: &Json) -> BatchItem {
         if !matches!(item, Json::Obj(_)) {
             return Err(WireError::malformed("batch item must be a JSON object"));
         }
-        let op = item
+        let name = item
             .get("op")
             .and_then(Json::as_str)
             .ok_or_else(|| WireError::malformed("batch item needs a string `op` field"))?;
-        match op {
-            "delta" | "epsilon" | "curve" | "composed" | "min_n" | "max_eps0" => {
-                parse_query(item, op).map(|q| BatchPayload::Query(Box::new(q)))
-            }
-            "charge" | "remaining" | "affordable_rounds" => {
+        match Op::from_name(name) {
+            Some(
+                op @ (Op::Delta | Op::Epsilon | Op::Curve | Op::Composed | Op::MinN | Op::MaxEps0),
+            ) => parse_query(item, op).map(|q| BatchPayload::Query(Box::new(q))),
+            Some(op @ (Op::Charge | Op::Remaining | Op::AffordableRounds)) => {
                 parse_ledger(item, op).map(BatchPayload::Ledger)
             }
-            other => Err(WireError::malformed(format!(
-                "batch items must be query ops or scalar ledger ops (got `{other}`)"
+            _ => Err(WireError::malformed(format!(
+                "batch items must be query ops or scalar ledger ops (got `{name}`)"
             ))),
         }
     })();
@@ -540,9 +653,9 @@ fn parse_source(frame: &Json) -> Result<VariationRatio, WireError> {
 }
 
 /// Parse a ledger op frame (standalone or as a batch item).
-fn parse_ledger(frame: &Json, op: &str) -> Result<LedgerOp, WireError> {
+fn parse_ledger(frame: &Json, op: Op) -> Result<LedgerOp, WireError> {
     match op {
-        "charge" => {
+        Op::Charge => {
             let user = field_u64(frame, "user")?;
             let vr = parse_source(frame)?;
             let n = field_u64(frame, "n")?;
@@ -555,12 +668,12 @@ fn parse_ledger(frame: &Json, op: &str) -> Result<LedgerOp, WireError> {
                 rounds,
             })
         }
-        "remaining" => Ok(LedgerOp::Remaining {
+        Op::Remaining => Ok(LedgerOp::Remaining {
             user: field_u64(frame, "user")?,
             eps: field_f64(frame, "eps")?,
             delta: field_f64(frame, "delta")?,
         }),
-        "affordable_rounds" => {
+        Op::AffordableRounds => {
             let user = field_u64(frame, "user")?;
             let vr = parse_source(frame)?;
             let n = field_u64(frame, "n")?;
@@ -582,7 +695,7 @@ fn parse_ledger(frame: &Json, op: &str) -> Result<LedgerOp, WireError> {
                 cap,
             })
         }
-        "ledger_import" => {
+        Op::LedgerImport => {
             let rows = frame
                 .get("rows")
                 .and_then(Json::as_arr)
@@ -602,7 +715,7 @@ fn parse_ledger(frame: &Json, op: &str) -> Result<LedgerOp, WireError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(LedgerOp::Import(rows))
         }
-        "ledger_export" => {
+        Op::LedgerExport => {
             let users = frame
                 .get("users")
                 .and_then(Json::as_arr)
@@ -622,9 +735,12 @@ fn parse_ledger(frame: &Json, op: &str) -> Result<LedgerOp, WireError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(LedgerOp::Export(users))
         }
-        other => Err(WireError::new(
+        _ => Err(WireError::new(
             ErrorKind::Internal,
-            format!("op `{other}` has no ledger handler despite passing dispatch"),
+            format!(
+                "op `{}` has no ledger handler despite passing dispatch",
+                op.name()
+            ),
         )),
     }
 }
@@ -642,10 +758,9 @@ fn push_source(members: &mut Vec<(String, Json)>, vr: &VariationRatio) {
     members.push(("q".into(), Json::Num(vr.q())));
 }
 
-/// Serialize a ledger op's `op` key and fields (shared by standalone frames
-/// and batch items).
+/// Serialize a ledger op's fields (shared by standalone frames and batch
+/// items; the `op` key itself is written by the caller).
 fn push_ledger_fields(members: &mut Vec<(String, Json)>, op: &LedgerOp) {
-    members.push(("op".into(), Json::Str(op.op_name().into())));
     match op {
         LedgerOp::Charge {
             user,
@@ -690,18 +805,6 @@ fn push_ledger_fields(members: &mut Vec<(String, Json)>, op: &LedgerOp) {
                 Json::Arr(users.iter().map(|&u| json_count(u)).collect()),
             ));
         }
-    }
-}
-
-/// The wire op of a query's target.
-fn query_op(q: &AmplificationQuery) -> &'static str {
-    match q.target() {
-        QueryTarget::Delta { .. } => "delta",
-        QueryTarget::Epsilon { .. } => "epsilon",
-        QueryTarget::Curve { .. } => "curve",
-        QueryTarget::Composed { .. } => "composed",
-        QueryTarget::MinPopulation { .. } => "min_n",
-        QueryTarget::MaxLocalBudget { .. } => "max_eps0",
     }
 }
 
@@ -779,15 +882,15 @@ fn push_query_fields(members: &mut Vec<(String, Json)>, q: &AmplificationQuery) 
 
 /// Build the typed query a frame describes, running it through the same
 /// `QueryBuilder::build()` validation gauntlet in-process callers get.
-fn parse_query(frame: &Json, op: &str) -> Result<AmplificationQuery, WireError> {
+fn parse_query(frame: &Json, op: Op) -> Result<AmplificationQuery, WireError> {
     let explicit_p = frame.get("p").is_some();
-    if op == "max_eps0" && explicit_p {
+    if op == Op::MaxEps0 && explicit_p {
         return Err(WireError::malformed(
             "max_eps0 searches worst-case LDP workloads; give the `eps0` ceiling \
              instead of explicit `p`/`beta`/`q`",
         ));
     }
-    if op == "min_n" && frame.get("n").is_some() {
+    if op == Op::MinN && frame.get("n").is_some() {
         // Mirror the builder, which rejects `.population()` on planner
         // targets: a stray `n` must not be silently shadowed by the search.
         return Err(WireError::malformed(
@@ -827,25 +930,25 @@ fn parse_query(frame: &Json, op: &str) -> Result<AmplificationQuery, WireError> 
 
     // The planner ops carry their population axis inside the target (`min_n`
     // searches it; `max_eps0` fixes it there); every forward op requires it.
-    if !matches!(op, "min_n" | "max_eps0") {
+    if !matches!(op, Op::MinN | Op::MaxEps0) {
         builder = builder.population(field_u64(frame, "n")?);
     }
     builder = match op {
-        "delta" => builder.delta_at(field_f64(frame, "eps")?),
-        "epsilon" => builder.epsilon_at(field_f64(frame, "delta")?),
-        "curve" => {
+        Op::Delta => builder.delta_at(field_f64(frame, "eps")?),
+        Op::Epsilon => builder.epsilon_at(field_f64(frame, "delta")?),
+        Op::Curve => {
             let points = field_u64(frame, "points")?;
             let points = usize::try_from(points)
                 .map_err(|_| WireError::malformed("`points` is out of range"))?;
             builder.curve(field_f64(frame, "eps_max")?, points)
         }
-        "composed" => {
+        Op::Composed => {
             let rounds = field_u64(frame, "rounds")?;
             let rounds = u32::try_from(rounds)
                 .map_err(|_| WireError::malformed("`rounds` is out of range"))?;
             builder.composed(rounds, field_f64(frame, "delta")?)
         }
-        "min_n" => {
+        Op::MinN => {
             let n_hi = match frame.get("n_hi") {
                 Some(v) => v
                     .as_u64()
@@ -854,15 +957,18 @@ fn parse_query(frame: &Json, op: &str) -> Result<AmplificationQuery, WireError> 
             };
             builder.min_population(field_f64(frame, "eps")?, field_f64(frame, "delta")?, n_hi)
         }
-        "max_eps0" => builder.max_local_budget(
+        Op::MaxEps0 => builder.max_local_budget(
             field_f64(frame, "eps")?,
             field_f64(frame, "delta")?,
             field_u64(frame, "n")?,
         ),
-        other => {
+        _ => {
             return Err(WireError::new(
                 ErrorKind::Internal,
-                format!("op `{other}` has no query handler despite passing dispatch"),
+                format!(
+                    "op `{}` has no query handler despite passing dispatch",
+                    op.name()
+                ),
             ))
         }
     };
@@ -893,15 +999,15 @@ fn parse_sweep(frame: &Json) -> Result<Command, WireError> {
         .get("target")
         .and_then(Json::as_str)
         .ok_or_else(|| WireError::malformed("sweep needs a `target` op to fan out"))?;
-    if !matches!(
-        target,
-        "delta" | "epsilon" | "composed" | "min_n" | "max_eps0"
-    ) {
-        return Err(WireError::malformed(format!(
-            "sweep target must be a scalar query op (got `{target}`)"
-        )));
-    }
-    if axis_kind == "n" && target == "min_n" {
+    let target = match Op::from_name(target) {
+        Some(op @ (Op::Delta | Op::Epsilon | Op::Composed | Op::MinN | Op::MaxEps0)) => op,
+        _ => {
+            return Err(WireError::malformed(format!(
+                "sweep target must be a scalar query op (got `{target}`)"
+            )))
+        }
+    };
+    if axis_kind == "n" && target == Op::MinN {
         return Err(WireError::malformed(
             "min_n searches the population; sweep it over `eps0` instead of `n`",
         ));
@@ -965,139 +1071,102 @@ fn parse_sweep(frame: &Json) -> Result<Command, WireError> {
     })
 }
 
-/// A point-in-time snapshot of the daemon's aggregate and per-op counters,
-/// served by the `stats` op.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Request frames received (all ops, including rejected ones).
-    pub requests: u64,
-    /// Requests answered successfully.
-    pub ok: u64,
-    /// Requests answered with a structured error (malformed frames
-    /// included, busy rejections excluded).
-    pub errors: u64,
-    /// Requests rejected with `busy` because the worker queue was full.
-    pub busy_rejections: u64,
-    /// Served queries whose every evaluator lookup was warm.
-    pub cache_hits: u64,
-    /// `delta` queries served or attempted.
-    pub op_delta: u64,
-    /// `epsilon` queries served or attempted.
-    pub op_epsilon: u64,
-    /// `curve` queries served or attempted.
-    pub op_curve: u64,
-    /// `composed` queries served or attempted.
-    pub op_composed: u64,
-    /// `min_n` planner queries served or attempted.
-    pub op_min_n: u64,
-    /// `max_eps0` planner queries served or attempted.
-    pub op_max_eps0: u64,
-    /// `sweep` requests served or attempted.
-    pub op_sweep: u64,
-    /// `batch` frames served or attempted (each counts once here; the
-    /// queries inside additionally tick their per-op counters).
-    pub op_batch: u64,
-    /// `stats` requests served.
-    pub op_stats: u64,
-    /// `charge` ledger ops served or attempted (batch items included).
-    pub op_charge: u64,
-    /// `remaining` ledger ops served or attempted (batch items included).
-    pub op_remaining: u64,
-    /// `affordable_rounds` ledger ops served or attempted (batch items
-    /// included).
-    pub op_affordable: u64,
-    /// `ledger_import` frames served or attempted.
-    pub op_ledger_import: u64,
-    /// `ledger_export` frames served or attempted.
-    pub op_ledger_export: u64,
-    /// Frames that arrived already queued behind another frame of the same
-    /// connection read (i.e. every frame of a burst beyond its first) — the
-    /// observable signal that clients are pipelining.
-    pub pipelined_frames: u64,
-    /// Microseconds since the daemon started.
-    pub uptime_micros: u64,
-    /// Shard threads owning connections (the `workers` config knob).
-    pub workers: u64,
-    /// Configured queue depth (backpressure threshold).
-    pub queue_depth: u64,
-    /// Distinct workloads memoized in the engine's evaluator cache.
-    pub cached_evaluators: u64,
-    /// Users currently holding at least one charged round in the ledger.
-    pub ledger_users: u64,
-    /// Distinct workloads priced by the ledger so far.
-    pub ledger_workloads: u64,
+/// Declares [`StatsSnapshot`] from one list of `stats` keys, in reply order.
+macro_rules! stats_snapshot {
+    ($($(#[doc = $doc:literal])* $key:ident,)+) => {
+        /// A point-in-time snapshot of the daemon's aggregate and per-op
+        /// counters, served by the `stats` op.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])* pub $key: u64,)+
+        }
+
+        impl StatsSnapshot {
+            /// Every counter as `(stats key, value)`, in reply order.
+            pub fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($key), self.$key)),+].into_iter()
+            }
+
+            fn entries_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> + '_ {
+                [$((stringify!($key), &mut self.$key)),+].into_iter()
+            }
+        }
+    };
 }
 
-impl StatsSnapshot {
-    const FIELDS: [&'static str; 27] = [
-        "connections",
-        "requests",
-        "ok",
-        "errors",
-        "busy_rejections",
-        "cache_hits",
-        "op_delta",
-        "op_epsilon",
-        "op_curve",
-        "op_composed",
-        "op_min_n",
-        "op_max_eps0",
-        "op_sweep",
-        "op_batch",
-        "op_stats",
-        "op_charge",
-        "op_remaining",
-        "op_affordable",
-        "op_ledger_import",
-        "op_ledger_export",
-        "pipelined_frames",
-        "uptime_micros",
-        "workers",
-        "queue_depth",
-        "cached_evaluators",
-        "ledger_users",
-        "ledger_workloads",
-    ];
+stats_snapshot! {
+/// Connections accepted since start.
+connections,
+/// Request frames received (all ops, including rejected ones).
+requests,
+/// Requests answered successfully.
+ok,
+/// Requests answered with a structured error (malformed frames
+/// included, busy rejections excluded).
+errors,
+/// Requests rejected with `busy` because the worker queue was full.
+busy_rejections,
+/// Served queries whose every evaluator lookup was warm.
+cache_hits,
+/// `delta` queries served or attempted.
+op_delta,
+/// `epsilon` queries served or attempted.
+op_epsilon,
+/// `curve` queries served or attempted.
+op_curve,
+/// `composed` queries served or attempted.
+op_composed,
+/// `min_n` planner queries served or attempted.
+op_min_n,
+/// `max_eps0` planner queries served or attempted.
+op_max_eps0,
+/// `sweep` requests served or attempted.
+op_sweep,
+/// `batch` frames served or attempted (each counts once here; the
+/// queries inside additionally tick their per-op counters).
+op_batch,
+/// `stats` requests served.
+op_stats,
+/// `charge` ledger ops served or attempted (batch items included).
+op_charge,
+/// `remaining` ledger ops served or attempted (batch items included).
+op_remaining,
+/// `affordable_rounds` ledger ops served or attempted (batch items
+/// included).
+op_affordable,
+/// `ledger_import` frames served or attempted.
+op_ledger_import,
+/// `ledger_export` frames served or attempted.
+op_ledger_export,
+/// Frames that arrived already queued behind another frame of the same
+/// connection read (i.e. every frame of a burst beyond its first) — the
+/// observable signal that clients are pipelining.
+pipelined_frames,
+/// Microseconds since the daemon started.
+uptime_micros,
+/// Shard threads owning connections (the `workers` config knob).
+workers,
+/// Configured queue depth (backpressure threshold).
+queue_depth,
+/// Distinct workloads memoized in the engine's evaluator cache.
+cached_evaluators,
+/// Users currently holding at least one charged round in the ledger.
+ledger_users,
+/// Distinct workloads priced by the ledger so far.
+ledger_workloads,}
 
-    fn values(&self) -> [u64; 27] {
-        [
-            self.connections,
-            self.requests,
-            self.ok,
-            self.errors,
-            self.busy_rejections,
-            self.cache_hits,
-            self.op_delta,
-            self.op_epsilon,
-            self.op_curve,
-            self.op_composed,
-            self.op_min_n,
-            self.op_max_eps0,
-            self.op_sweep,
-            self.op_batch,
-            self.op_stats,
-            self.op_charge,
-            self.op_remaining,
-            self.op_affordable,
-            self.op_ledger_import,
-            self.op_ledger_export,
-            self.pipelined_frames,
-            self.uptime_micros,
-            self.workers,
-            self.queue_depth,
-            self.cached_evaluators,
-            self.ledger_users,
-            self.ledger_workloads,
-        ]
+impl StatsSnapshot {
+    /// Set the counter under a `stats` key; an unknown key is ignored (a
+    /// unit test holds every [`Op::stats_key`] to this struct's keys).
+    pub(crate) fn set(&mut self, key: &str, value: u64) {
+        if let Some((_, slot)) = self.entries_mut().find(|(k, _)| *k == key) {
+            *slot = value;
+        }
     }
 
     fn to_json(&self) -> Json {
         Json::Obj(
-            Self::FIELDS
-                .iter()
-                .zip(self.values())
+            self.entries()
                 .map(|(k, v)| (k.to_string(), json_count(v)))
                 .collect(),
         )
@@ -1105,36 +1174,7 @@ impl StatsSnapshot {
 
     fn from_json(v: &Json) -> Option<Self> {
         let mut out = Self::default();
-        let slots: [&mut u64; 27] = [
-            &mut out.connections,
-            &mut out.requests,
-            &mut out.ok,
-            &mut out.errors,
-            &mut out.busy_rejections,
-            &mut out.cache_hits,
-            &mut out.op_delta,
-            &mut out.op_epsilon,
-            &mut out.op_curve,
-            &mut out.op_composed,
-            &mut out.op_min_n,
-            &mut out.op_max_eps0,
-            &mut out.op_sweep,
-            &mut out.op_batch,
-            &mut out.op_stats,
-            &mut out.op_charge,
-            &mut out.op_remaining,
-            &mut out.op_affordable,
-            &mut out.op_ledger_import,
-            &mut out.op_ledger_export,
-            &mut out.pipelined_frames,
-            &mut out.uptime_micros,
-            &mut out.workers,
-            &mut out.queue_depth,
-            &mut out.cached_evaluators,
-            &mut out.ledger_users,
-            &mut out.ledger_workloads,
-        ];
-        for (key, slot) in Self::FIELDS.iter().zip(slots) {
+        for (key, slot) in out.entries_mut() {
             *slot = v.get(key)?.as_u64()?;
         }
         Some(out)
@@ -2473,5 +2513,43 @@ mod tests {
             assert_eq!(ErrorKind::from_str(kind.as_str()), Some(kind));
         }
         assert_eq!(ErrorKind::from_str("nope"), None);
+    }
+
+    #[test]
+    fn op_table_names_indexes_and_stats_keys_agree() {
+        for (i, &op) in Op::ALL.iter().enumerate() {
+            assert_eq!(op.index(), i);
+            assert_eq!(Op::from_name(op.name()), Some(op));
+        }
+        assert_eq!(Op::from_name("fly"), None);
+        // Every counted op has a snapshot field, and every `op_*` field of
+        // the snapshot is some op's counter.
+        let keys: Vec<&str> = StatsSnapshot::default().entries().map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), 27);
+        let mut op_keys: Vec<&str> = Op::ALL.iter().filter_map(|op| op.stats_key()).collect();
+        let mut snapshot_op_keys: Vec<&str> = keys
+            .iter()
+            .copied()
+            .filter(|k| k.starts_with("op_"))
+            .collect();
+        op_keys.sort_unstable();
+        snapshot_op_keys.sort_unstable();
+        assert_eq!(op_keys, snapshot_op_keys);
+    }
+
+    #[test]
+    fn readme_request_schema_lists_the_op_table() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+        let readme = std::fs::read_to_string(&path).expect("root README.md");
+        let lead = "`op` picks the target (";
+        let start = readme.find(lead).expect("README request schema op list") + lead.len();
+        let list = &readme[start..];
+        let list = &list[..list.find(')').expect("op list closes")];
+        let listed: Vec<&str> = list.split('`').skip(1).step_by(2).collect();
+        let table: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+        assert_eq!(
+            listed, table,
+            "README request schema drifted from `Op::ALL`"
+        );
     }
 }

@@ -43,10 +43,10 @@ use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::protocol::{
-    extract_id, BatchItem, BatchPayload, Command, ErrorKind, LedgerOp, Reply, ReplyBody, Request,
-    StatsSnapshot, WireError,
+    extract_id, BatchItem, BatchPayload, Command, ErrorKind, LedgerOp, Op, Reply, ReplyBody,
+    Request, StatsSnapshot, WireError,
 };
-use vr_core::engine::{AmplificationQuery, AnalysisEngine, QueryTarget};
+use vr_core::engine::{AmplificationQuery, AnalysisEngine};
 use vr_ledger::BudgetLedger;
 
 /// Longest request line accepted, in bytes (64 KiB — a curve query is a few
@@ -118,21 +118,29 @@ struct Counters {
     errors: AtomicU64,
     busy: AtomicU64,
     cache_hits: AtomicU64,
-    op_delta: AtomicU64,
-    op_epsilon: AtomicU64,
-    op_curve: AtomicU64,
-    op_composed: AtomicU64,
-    op_min_n: AtomicU64,
-    op_max_eps0: AtomicU64,
-    op_sweep: AtomicU64,
-    op_batch: AtomicU64,
-    op_stats: AtomicU64,
-    op_charge: AtomicU64,
-    op_remaining: AtomicU64,
-    op_affordable: AtomicU64,
-    op_ledger_import: AtomicU64,
-    op_ledger_export: AtomicU64,
+    /// Per-op demand, indexed by [`Op::index`].
+    ops: [AtomicU64; Op::ALL.len()],
     pipelined: AtomicU64,
+}
+
+impl Counters {
+    /// Count a parsed frame under its op, and each parsed batch item under
+    /// its own op. Demand is counted whether or not admission succeeds
+    /// (parity with the worker-pool daemon this replaced).
+    fn count(&self, command: &Command) {
+        self.bump(command.op());
+        if let Command::Batch(items) = command {
+            for payload in items.iter().filter_map(|item| item.payload.as_ref().ok()) {
+                self.bump(payload.op());
+            }
+        }
+    }
+
+    fn bump(&self, op: Op) {
+        if let Some(counter) = self.ops.get(op.index()) {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// One shard's hand-off point: the accept thread pushes fresh sockets here
@@ -205,27 +213,13 @@ impl Inner {
 
     fn snapshot(&self) -> StatsSnapshot {
         let s = &self.stats;
-        StatsSnapshot {
+        let mut snapshot = StatsSnapshot {
             connections: s.connections.load(Ordering::Relaxed),
             requests: s.requests.load(Ordering::Relaxed),
             ok: s.ok.load(Ordering::Relaxed),
             errors: s.errors.load(Ordering::Relaxed),
             busy_rejections: s.busy.load(Ordering::Relaxed),
             cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            op_delta: s.op_delta.load(Ordering::Relaxed),
-            op_epsilon: s.op_epsilon.load(Ordering::Relaxed),
-            op_curve: s.op_curve.load(Ordering::Relaxed),
-            op_composed: s.op_composed.load(Ordering::Relaxed),
-            op_min_n: s.op_min_n.load(Ordering::Relaxed),
-            op_max_eps0: s.op_max_eps0.load(Ordering::Relaxed),
-            op_sweep: s.op_sweep.load(Ordering::Relaxed),
-            op_batch: s.op_batch.load(Ordering::Relaxed),
-            op_stats: s.op_stats.load(Ordering::Relaxed),
-            op_charge: s.op_charge.load(Ordering::Relaxed),
-            op_remaining: s.op_remaining.load(Ordering::Relaxed),
-            op_affordable: s.op_affordable.load(Ordering::Relaxed),
-            op_ledger_import: s.op_ledger_import.load(Ordering::Relaxed),
-            op_ledger_export: s.op_ledger_export.load(Ordering::Relaxed),
             pipelined_frames: s.pipelined.load(Ordering::Relaxed),
             uptime_micros: u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX),
             workers: u64::try_from(self.config.workers).unwrap_or(u64::MAX),
@@ -233,7 +227,14 @@ impl Inner {
             cached_evaluators: u64::try_from(self.engine.cached_evaluators()).unwrap_or(u64::MAX),
             ledger_users: self.ledger.users(),
             ledger_workloads: self.ledger.workloads(),
+            ..StatsSnapshot::default()
+        };
+        for (op, count) in Op::ALL.iter().zip(&s.ops) {
+            if let Some(key) = op.stats_key() {
+                snapshot.set(key, count.load(Ordering::Relaxed));
+            }
         }
+        snapshot
     }
 
     /// Admit one unit of engine work from a connection whose read buffer
@@ -794,14 +795,12 @@ fn handle_frame(inner: &Arc<Inner>, text: &str, pending: usize) -> (Reply, bool)
             return (reply, false);
         }
     };
+    inner.stats.count(&request.command);
     let (reply, stop_after) = match request.command {
-        Command::Stats => {
-            inner.stats.op_stats.fetch_add(1, Ordering::Relaxed);
-            (
-                Reply::ok(request.id, ReplyBody::Stats(inner.snapshot())),
-                false,
-            )
-        }
+        Command::Stats => (
+            Reply::ok(request.id, ReplyBody::Stats(inner.snapshot())),
+            false,
+        ),
         Command::Shutdown => (Reply::ok(request.id, ReplyBody::ShuttingDown), true),
         command => (
             execute_engine_command(inner, request.id, command, pending),
@@ -828,7 +827,7 @@ enum ExecOutput {
     Ledger(ReplyBody),
 }
 
-/// Count, admit, and execute a query / sweep / batch command inline on the
+/// Admit and execute a query / sweep / batch / ledger command inline on the
 /// owning shard. A panic inside the engine costs this frame, not the
 /// shard: it is caught and mapped to a structured `internal` error.
 fn execute_engine_command(
@@ -837,28 +836,6 @@ fn execute_engine_command(
     command: Command,
     pending: usize,
 ) -> Reply {
-    // Op counters record demand whether or not admission succeeds (parity
-    // with the worker-pool daemon this replaced).
-    match &command {
-        Command::Query(query) => bump_op_counter(inner, query),
-        Command::Sweep { .. } => {
-            inner.stats.op_sweep.fetch_add(1, Ordering::Relaxed);
-        }
-        Command::Batch(items) => {
-            inner.stats.op_batch.fetch_add(1, Ordering::Relaxed);
-            for item in items {
-                match &item.payload {
-                    Ok(BatchPayload::Query(query)) => bump_op_counter(inner, query),
-                    Ok(BatchPayload::Ledger(op)) => bump_ledger_op_counter(inner, op),
-                    Err(_) => {}
-                }
-            }
-        }
-        Command::Ledger(op) => bump_ledger_op_counter(inner, op),
-        // Control ops execute in handle_frame and never reach this path;
-        // nothing to count for them here.
-        Command::Stats | Command::Shutdown => {}
-    }
     if let Err(e) = inner.admit(pending) {
         return Reply::err(id, e);
     }
@@ -902,29 +879,6 @@ fn execute_engine_command(
             ),
         ),
     }
-}
-
-fn bump_op_counter(inner: &Inner, query: &AmplificationQuery) {
-    let op_counter = match query.target() {
-        QueryTarget::Delta { .. } => &inner.stats.op_delta,
-        QueryTarget::Epsilon { .. } => &inner.stats.op_epsilon,
-        QueryTarget::Curve { .. } => &inner.stats.op_curve,
-        QueryTarget::Composed { .. } => &inner.stats.op_composed,
-        QueryTarget::MinPopulation { .. } => &inner.stats.op_min_n,
-        QueryTarget::MaxLocalBudget { .. } => &inner.stats.op_max_eps0,
-    };
-    op_counter.fetch_add(1, Ordering::Relaxed);
-}
-
-fn bump_ledger_op_counter(inner: &Inner, op: &LedgerOp) {
-    let op_counter = match op {
-        LedgerOp::Charge { .. } => &inner.stats.op_charge,
-        LedgerOp::Remaining { .. } => &inner.stats.op_remaining,
-        LedgerOp::AffordableRounds { .. } => &inner.stats.op_affordable,
-        LedgerOp::Import(_) => &inner.stats.op_ledger_import,
-        LedgerOp::Export(_) => &inner.stats.op_ledger_export,
-    };
-    op_counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Execute one ledger op against the daemon's shared ledger. Charges and

@@ -109,10 +109,6 @@ pub mod prelude {
     pub use vr_core::accountant::{
         Accountant, DeltaEvaluator, NumericalBound, ScanMode, SearchOptions,
     };
-    #[allow(deprecated)] // kept for migration; prefer AnalysisEngine queries
-    pub use vr_core::analytic::analytic_epsilon;
-    #[allow(deprecated)] // kept for migration; prefer AnalysisEngine queries
-    pub use vr_core::asymptotic::asymptotic_epsilon;
     pub use vr_core::baselines::{
         BlanketOptions, BlanketProfile, EfmrttBound, GenericBlanketBound, SpecificBlanketBound,
     };
@@ -131,8 +127,6 @@ pub mod prelude {
     };
     pub use vr_ledger::{BudgetLedger, BudgetStatus, ChargeReceipt};
     pub use vr_numerics::par::{par_map, par_map_with};
-    #[allow(deprecated)] // kept for migration; prefer AnalysisEngine queries
-    pub use vr_protocols::amplified_epsilon;
     pub use vr_protocols::{
         plan_deployment, run_frequency_protocol, serve_epsilons, DeploymentPlan, RangeQueryProtocol,
     };

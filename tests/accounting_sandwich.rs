@@ -1,11 +1,13 @@
 //! Cross-crate integration tests: the lower–upper sandwich of Sections 4–5
 //! for every concrete mechanism, and the ordering of all accountants.
 
-#![allow(deprecated)] // exercises the legacy wrappers against the engine
 use shuffle_amplification::core::accountant::{Accountant, ScanMode, SearchOptions};
+use shuffle_amplification::core::analytic::AnalyticBound;
+use shuffle_amplification::core::asymptotic::AsymptoticBound;
 use shuffle_amplification::core::baselines::{
-    blanket_epsilon, clone_epsilon, generic_gamma, stronger_clone_epsilon, BlanketOptions,
+    clone_bound, stronger_clone_bound, BlanketOptions, GenericBlanketBound,
 };
+use shuffle_amplification::core::bound::AmplificationBound;
 use shuffle_amplification::core::lower::{LowerBoundAccountant, LowerBoundParams};
 use shuffle_amplification::ldp::{
     AmplifiableMechanism, FrequencyMechanism, Grr, HadamardResponse, KSubset, Olh,
@@ -90,16 +92,15 @@ fn variation_ratio_is_the_tightest_upper_bound() {
         .unwrap()
         .epsilon(delta, opts)
         .unwrap();
-    let sc = stronger_clone_epsilon(eps0, n, delta, opts).unwrap();
-    let cl = clone_epsilon(eps0, n, delta, opts).unwrap();
-    let bl = blanket_epsilon(
-        eps0,
-        generic_gamma(eps0),
-        n,
-        delta,
-        BlanketOptions::default(),
-    )
-    .unwrap();
+    let sc = stronger_clone_bound(eps0, n, opts)
+        .unwrap()
+        .epsilon(delta)
+        .unwrap();
+    let cl = clone_bound(eps0, n, opts).unwrap().epsilon(delta).unwrap();
+    let bl = GenericBlanketBound::new(eps0, n, BlanketOptions::default())
+        .unwrap()
+        .epsilon(delta)
+        .unwrap();
     assert!(
         ours < sc && sc < cl,
         "ordering broke: ours={ours} sc={sc} clone={cl}"
@@ -122,9 +123,8 @@ fn closed_forms_are_valid_but_looser() {
         .unwrap()
         .epsilon_default(delta)
         .unwrap();
-    let analytic = shuffle_amplification::core::analytic::analytic_epsilon(&vr, n, delta).unwrap();
-    let asymptotic =
-        shuffle_amplification::core::asymptotic::asymptotic_epsilon(&vr, n, delta).unwrap();
+    let analytic = AnalyticBound::new(vr, n).epsilon(delta).unwrap();
+    let asymptotic = AsymptoticBound::new(vr, n).epsilon(delta).unwrap();
     assert!(
         numeric <= analytic,
         "numeric {numeric} vs analytic {analytic}"

@@ -1,20 +1,26 @@
 //! Property-based tests of the unified bound engine (proptest): every
-//! trait-migrated bound must agree with its legacy free-function wrapper
-//! across random parameter draws, and `BestOf` must never be looser than
-//! any of its members.
+//! trait-migrated bound must agree with the engine's answer to the same
+//! named query, and `BestOf` must never be looser than any of its members.
 
-#![allow(deprecated)] // exercises the legacy wrappers against the engine
 use proptest::prelude::*;
 use shuffle_amplification::core::accountant::{Accountant, ScanMode, SearchOptions};
-use shuffle_amplification::core::analytic::{analytic_epsilon, AnalyticBound};
-use shuffle_amplification::core::asymptotic::{asymptotic_epsilon, AsymptoticBound};
+use shuffle_amplification::core::analytic::AnalyticBound;
+use shuffle_amplification::core::asymptotic::AsymptoticBound;
 use shuffle_amplification::core::baselines::{
-    blanket_epsilon, clone_epsilon, efmrtt_epsilon, generic_gamma, stronger_clone_epsilon,
-    BlanketOptions, EfmrttBound, GenericBlanketBound,
+    clone_bound, stronger_clone_bound, BlanketOptions, EfmrttBound, GenericBlanketBound,
 };
 use shuffle_amplification::core::bound::{names, BoundRegistry};
+use shuffle_amplification::core::engine::{AmplificationQuery, AnalysisEngine, QueryBuilder};
+use shuffle_amplification::core::error::Error;
 use shuffle_amplification::core::renyi::{composed_epsilon, default_lambda_grid, RenyiBound};
 use shuffle_amplification::prelude::{AmplificationBound, NumericalBound, VariationRatio};
+
+/// The engine's `ε(δ)` for the named bound over `source` at population `n`.
+fn engine_epsilon(source: QueryBuilder, name: &str, n: u64, delta: f64) -> Result<f64, Error> {
+    let query = source.population(n).epsilon_at(delta).bound(name).build()?;
+    let report = AnalysisEngine::new().run(&query)?;
+    Ok(report.scalar().expect("epsilon queries are scalar"))
+}
 
 /// Strategy: valid (p, beta, q) triples with finite p.
 fn vr_strategy() -> impl Strategy<Value = VariationRatio> {
@@ -59,25 +65,22 @@ proptest! {
     }
 
     #[test]
-    fn closed_form_bounds_agree_with_legacy_wrappers(
+    fn closed_form_bounds_agree_with_engine_queries(
         vr in vr_strategy(),
         n in 100u64..2_000_000,
         delta_exp in 3u32..10,
     ) {
         let delta = 10f64.powi(-(delta_exp as i32));
-        let engine = AnalyticBound::new(vr, n).epsilon(delta);
-        let legacy = analytic_epsilon(&vr, n, delta);
-        match (engine, legacy) {
-            (Ok(a), Ok(b)) => prop_assert!((a - b).abs() <= 1e-12, "{a} vs {b}"),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "applicability diverged: {a:?} vs {b:?}"),
-        }
-        let engine = AsymptoticBound::new(vr, n).epsilon(delta);
-        let legacy = asymptotic_epsilon(&vr, n, delta);
-        match (engine, legacy) {
-            (Ok(a), Ok(b)) => prop_assert!((a - b).abs() <= 1e-12, "{a} vs {b}"),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "applicability diverged: {a:?} vs {b:?}"),
+        let pairs = [
+            (names::ANALYTIC, AnalyticBound::new(vr, n).epsilon(delta)),
+            (names::ASYMPTOTIC, AsymptoticBound::new(vr, n).epsilon(delta)),
+        ];
+        for (name, direct) in pairs {
+            match (direct, engine_epsilon(AmplificationQuery::params(vr), name, n, delta)) {
+                (Ok(a), Ok(b)) => prop_assert!((a - b).abs() <= 1e-12, "{name}: {a} vs {b}"),
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "{name}: applicability diverged: {a:?} vs {b:?}"),
+            }
         }
         // Rényi enumeration is Õ(n); keep its population draw moderate.
         let n_renyi = n.min(20_000);
@@ -87,45 +90,43 @@ proptest! {
     }
 
     #[test]
-    fn ldp_baseline_bounds_agree_with_legacy_wrappers(
+    fn ldp_baseline_bounds_agree_with_engine_queries(
         eps0 in 0.3f64..4.0,
         n in 1_000u64..15_000,
         delta_exp in 4u32..8,
     ) {
         let delta = 10f64.powi(-(delta_exp as i32));
         let opts = SearchOptions::default();
-        let registry = BoundRegistry::ldp_baselines(eps0, n).unwrap();
-        let engine = |name: &str| registry.get(name).unwrap().epsilon(delta).unwrap();
+        let blanket = GenericBlanketBound::new(eps0, n, BlanketOptions::default()).unwrap();
+        let ef = EfmrttBound::new(eps0, n).unwrap();
         let pairs = [
-            (names::CLONE, clone_epsilon(eps0, n, delta, opts).unwrap()),
+            (names::CLONE, clone_bound(eps0, n, opts).unwrap().epsilon(delta).unwrap()),
             (
                 names::STRONGER_CLONE,
-                stronger_clone_epsilon(eps0, n, delta, opts).unwrap(),
+                stronger_clone_bound(eps0, n, opts).unwrap().epsilon(delta).unwrap(),
             ),
-            (
-                names::BLANKET_GENERIC,
-                blanket_epsilon(eps0, generic_gamma(eps0), n, delta, BlanketOptions::default())
-                    .unwrap(),
-            ),
-            (names::EFMRTT19, efmrtt_epsilon(eps0, n, delta)),
+            (names::BLANKET_GENERIC, blanket.epsilon(delta).unwrap()),
+            (names::EFMRTT19, ef.epsilon(delta).unwrap()),
         ];
-        for (name, legacy) in pairs {
-            let e = engine(name);
+        for (name, direct) in pairs {
+            let source = AmplificationQuery::ldp_worst_case(eps0).unwrap();
+            let e = engine_epsilon(source, name, n, delta).unwrap();
             prop_assert!(
-                (e - legacy).abs() <= 1e-12 * legacy.max(1.0),
-                "{name}: engine {e} vs legacy {legacy}"
+                (e - direct).abs() <= 1e-12 * direct.max(1.0),
+                "{name}: engine {e} vs bound {direct}"
             );
         }
+        // The EFMRTT closed form itself: ε = ε₀·√(144·ln(1/δ)/n).
+        let closed_form = eps0 * (144.0 * (1.0 / delta).ln() / n as f64).sqrt();
+        prop_assert!((ef.epsilon(delta).unwrap() - closed_form).abs() <= 1e-12 * closed_form);
         // The trait-native delta of the EFMRTT closed form round-trips.
-        let ef = EfmrttBound::new(eps0, n).unwrap();
         let eps = ef.epsilon(delta).unwrap();
         prop_assert!((ef.delta(eps).unwrap() - delta).abs() <= 1e-9 * delta.max(1e-12));
         // The blanket's inverted delta is a feasible claim.
-        let bl = GenericBlanketBound::new(eps0, n, BlanketOptions::default()).unwrap();
-        let eps = bl.epsilon(delta).unwrap();
+        let eps = blanket.epsilon(delta).unwrap();
         if eps > 0.0 {
-            let d = bl.delta(eps).unwrap();
-            prop_assert!(bl.epsilon(d).unwrap() <= eps + 1e-12);
+            let d = blanket.delta(eps).unwrap();
+            prop_assert!(blanket.epsilon(d).unwrap() <= eps + 1e-12);
         }
     }
 

@@ -86,7 +86,7 @@ fn report_artifact_parses_with_the_house_parser() {
     assert!(graph.get("functions").and_then(Json::as_u64).unwrap_or(0) > 100);
     assert!(graph.get("edges").and_then(Json::as_u64).unwrap_or(0) > 100);
     let passes = doc.get("passes").expect("passes section");
-    for pass in ["panic-reach", "lock-order", "wire-schema"] {
+    for pass in ["panic-reach", "lock-order"] {
         assert_eq!(
             passes.get(pass).and_then(Json::as_u64),
             Some(0),

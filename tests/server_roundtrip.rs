@@ -12,7 +12,10 @@
 
 use shuffle_amplification::core::bound::names;
 use shuffle_amplification::prelude::*;
-use shuffle_amplification::server::{ClientError, Command, ErrorKind, Json, Request};
+use shuffle_amplification::server::{
+    ClientError, Command, ErrorKind, Json, Op, Request, StatsSnapshot,
+};
+use std::collections::BTreeMap;
 
 const N: u64 = 20_000;
 
@@ -742,4 +745,131 @@ fn busy_backpressure_is_a_structured_reply() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.busy_rejections, 1);
     server.stop();
+}
+
+/// The `op_*` counters of a snapshot, by key.
+fn op_counters(stats: &StatsSnapshot) -> BTreeMap<&'static str, u64> {
+    stats
+        .entries()
+        .filter(|(key, _)| key.starts_with("op_"))
+        .collect()
+}
+
+/// One valid frame per `Op::ALL` entry (through the `Client` verb where one
+/// exists) is served without error and moves only that op's `stats` key.
+#[test]
+fn every_op_in_the_table_serves_and_moves_exactly_its_own_counter() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        queue_depth: 16,
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (n, eps, delta) = (2_000u64, 0.9, 1e-6);
+    let vr = VariationRatio::ldp_worst_case(1.0).unwrap();
+    let source = || AmplificationQuery::ldp_worst_case(1.0).unwrap();
+    let at_n = || source().population(n);
+    let delta_q = at_n().delta_at(0.5).build().unwrap();
+    let epsilon_q = at_n().epsilon_at(delta).build().unwrap();
+    let user = 11;
+
+    for &op in Op::ALL {
+        // In-process snapshots: reading them counts nothing.
+        let before = op_counters(&server.stats());
+        // Keys besides `op`'s own that this frame moves (batch items).
+        let mut also: Vec<Op> = Vec::new();
+        match op {
+            Op::Delta => {
+                client.run(&delta_q).expect("delta");
+            }
+            Op::Epsilon => {
+                client.run(&epsilon_q).expect("epsilon");
+            }
+            Op::Curve => {
+                client
+                    .run(&at_n().curve(1.0, 5).build().unwrap())
+                    .expect("curve");
+            }
+            Op::Composed => {
+                client
+                    .run(&at_n().composed(2, delta).build().unwrap())
+                    .expect("composed");
+            }
+            Op::MinN => {
+                client
+                    .run(
+                        &source()
+                            .min_population(eps, delta, 1 << 12)
+                            .build()
+                            .unwrap(),
+                    )
+                    .expect("min_n");
+            }
+            Op::MaxEps0 => {
+                client
+                    .run(
+                        &AmplificationQuery::ldp_worst_case(4.0)
+                            .unwrap()
+                            .max_local_budget(eps, delta, n)
+                            .build()
+                            .unwrap(),
+                    )
+                    .expect("max_eps0");
+            }
+            Op::Sweep => {
+                let outcome = client
+                    .sweep(&epsilon_q, &SweepAxis::Population(vec![n, 2 * n]))
+                    .expect("sweep");
+                assert!(outcome.errors.iter().all(Option::is_none));
+            }
+            Op::Batch => {
+                let items = client
+                    .run_batch(&[delta_q.clone(), epsilon_q.clone()])
+                    .expect("batch");
+                assert!(items.iter().all(Result::is_ok), "{items:?}");
+                also = vec![Op::Delta, Op::Epsilon];
+            }
+            Op::Charge => {
+                client.charge(user, &vr, n, 2).expect("charge");
+            }
+            Op::Remaining => {
+                client.remaining(user, 4.0, delta).expect("remaining");
+            }
+            Op::AffordableRounds => {
+                client
+                    .affordable_rounds(user, &vr, n, 4.0, delta, Some(8))
+                    .expect("affordable_rounds");
+            }
+            Op::LedgerImport => {
+                client
+                    .ledger_import(vec![format!("{},1.0,{n},1", user + 1)])
+                    .expect("ledger_import");
+            }
+            Op::LedgerExport => {
+                assert!(!client
+                    .ledger_export(&[user])
+                    .expect("ledger_export")
+                    .is_empty())
+            }
+            Op::Stats => {
+                client.stats().expect("stats");
+            }
+            Op::Shutdown => client.shutdown_server().expect("shutdown"),
+        }
+        let after = op_counters(&server.stats());
+        let mut want: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for counted in std::iter::once(op).chain(also) {
+            if let Some(key) = counted.stats_key() {
+                *want.entry(key).or_insert(0) += 1;
+            }
+        }
+        let moved: BTreeMap<&'static str, u64> = after
+            .iter()
+            .map(|(&key, &count)| (key, count - before[key]))
+            .filter(|&(_, by)| by > 0)
+            .collect();
+        assert_eq!(moved, want, "`{}` moved the wrong counters", op.name());
+    }
+    server.join();
 }
