@@ -512,7 +512,10 @@ impl ExactScanScratch {
     /// Theorem 4.8 at `eps`, bit-identical to [`scan_exact`] over the same
     /// table (same tails from the same [`upper_tail`] calls, same fold
     /// order), reusing every tail whose thresholds did not move.
-    // vr-lint: allow-fn(float-eq, slice-index) — `w == 0.0` is the exact zero-weight skip; every index is inside the table window (`thr` is built with len + 1 entries, scratch arrays with len)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is inside the table window (`thr` is built with len + 1 entries, scratch arrays with len)"
+    )]
     fn delta(&mut self, acc: &Accountant, table: &OuterTable, eps: f64) -> f64 {
         let vr = &acc.vr;
         let Some(co) = ScanCoefs::new(vr, eps) else {
@@ -601,13 +604,18 @@ impl ScanCoefs {
 /// which evaluates the same expression over the whole window with the
 /// workload scalars hoisted (bit-identical per entry — asserted by the
 /// `staged_thresholds_*` property tests below).
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg_attr(
+    not(test),
+    expect(
+        dead_code,
+        reason = "scalar reference the staged-threshold property tests compare against"
+    )
+)]
 fn low_threshold(vr: &VariationRatio, n: u64, ee: f64, t: u64) -> f64 {
     let rest = vr.non_differing();
     let r = vr.r();
     let tf = t as f64;
     let remaining = (n - t.min(n)) as f64;
-    // vr-lint: allow(float-eq) — exact emptiness tests: `rest` and `remaining` are 0.0 only by construction
     let tail = if rest == 0.0 || remaining == 0.0 {
         0.0
     } else if 1.0 - 2.0 * r <= 0.0 {
@@ -645,7 +653,6 @@ fn fill_thresholds(vr: &VariationRatio, n: u64, ee: f64, c_lo: u64, count: usize
     // exact (identical bits to casting the integers directly).
     let c0f = c_lo as f64;
     let m0f = (n - c_lo) as f64;
-    // vr-lint: allow(float-eq) — exact single-message test; `non_differing()` returns a literal 0.0 in that regime
     if rest == 0.0 {
         // Single-message protocols: the non-differing component is empty and
         // tail ≡ 0 regardless of r.
@@ -666,7 +673,6 @@ fn fill_thresholds(vr: &VariationRatio, n: u64, ee: f64, c_lo: u64, count: usize
         // t = n where the remaining-mass factor vanishes first.
         for (i, th) in thr.iter_mut().enumerate() {
             let if64 = i as f64;
-            // vr-lint: allow(float-eq) — t = n test on exact small integers (both < 2⁵³)
             *th = if m0f - if64 == 0.0 {
                 let tf = c0f + if64;
                 ceil_to_i64((num_t * tf + em1 * 0.0) / den)
@@ -691,7 +697,10 @@ fn fill_thresholds(vr: &VariationRatio, n: u64, ee: f64, c_lo: u64, count: usize
 /// fold order. The lane-parallel chunked reduce is reserved for
 /// [`scan_fast`], whose certified pad absorbs reordering round-off; the
 /// exact scan is the certification baseline and must not reassociate.
-// vr-lint: allow-fn(float-eq, slice-index) — `w == 0.0` is the exact zero-weight skip; `thr` has len + 1 entries so `thr[i + 1]` stays in bounds over the enumerated window
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`thr` has len + 1 entries so `thr[i + 1]` stays in bounds over the enumerated window"
+)]
 fn scan_exact(acc: &Accountant, table: &OuterTable, eps: f64) -> f64 {
     let vr = &acc.vr;
     let Some(co) = ScanCoefs::new(vr, eps) else {
@@ -817,7 +826,10 @@ const LANES: usize = 8;
 /// including the ~ulp-scale multiplicative pmf derivations) stays bounded
 /// far below [`FAST_SCAN_PAD`], which is added to keep the result a valid
 /// upper bound.
-// vr-lint: allow-fn(float-eq, slice-index) — `w == 0.0`/`d == 0` are exact skips; every index is bounded by the window (`thr`: len + 1 entries, plan/tail arrays: len, `cursor` < anchors by the stage-2 schedule, chunked reduce slices at `chunks` ≤ len)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every index is bounded by the window (`thr`: len + 1 entries, plan/tail arrays: len, `cursor` < anchors by the stage-2 schedule, chunked reduce slices at `chunks` ≤ len)"
+)]
 fn scan_fast(acc: &Accountant, table: &OuterTable, eps: f64) -> f64 {
     let vr = &acc.vr;
     let Some(co) = ScanCoefs::new(vr, eps) else {

@@ -102,7 +102,6 @@ fn epsilon_thm42(vr: &VariationRatio, n: u64, delta: f64) -> Result<f64> {
 
     // Condition (i): coefficient of C in the denominator of F must be >= 0:
     // (p+1)α/2 − (1−α−pα)·r/(1−2r) >= 0 (p = ∞ safe via α + pα).
-    // vr-lint: allow(float-eq) — exact single-message test; `non_differing()` returns a literal 0.0 in that regime
     let tail_rate = if rest == 0.0 {
         0.0
     } else {
@@ -147,7 +146,6 @@ fn stationary_threshold(vr: &VariationRatio, n: u64) -> f64 {
     let q = vr.q();
     let num = 2.0 * p * (beta + 1.0 + (beta - 1.0) * p) * (nf - 1.0) + beta;
     let den = q + p * (beta - 1.0 + (beta + 1.0) * p) - p * q;
-    // vr-lint: allow(float-eq) — exact division-by-zero guard; any nonzero denominator divides fine
     if den == 0.0 {
         return f64::INFINITY;
     }

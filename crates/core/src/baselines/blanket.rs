@@ -209,12 +209,13 @@ impl BlanketProfile {
     /// with identical behaviour may be pre-collapsed by the caller (weights
     /// folded in) — only the pmf values matter.
     pub fn from_rows(rows: &[Vec<f64>], x0: usize, x1: usize) -> Result<Self> {
-        if rows.is_empty() || x0 >= rows.len() || x1 >= rows.len() || x0 == x1 {
+        let victims = rows.get(x0).zip(rows.get(x1)).filter(|_| x0 != x1);
+        let Some((p0, p1)) = victims else {
             return Err(Error::InvalidParameter(
                 "need distinct valid input indices".into(),
             ));
-        }
-        let m = rows[0].len();
+        };
+        let m = p0.len();
         if rows.iter().any(|r| r.len() != m) {
             return Err(Error::InvalidParameter(
                 "rows must share one output domain".into(),
@@ -234,17 +235,16 @@ impl BlanketProfile {
         }
         let omega: Vec<f64> = min_row.iter().map(|&v| v / gamma).collect();
         // The loss variables are only bounded when ω covers the victim pair.
-        for (i, &w) in omega.iter().enumerate() {
-            // vr-lint: allow(float-eq) — exact support test: only a literal-zero envelope entry fails to cover
-            if w == 0.0 && (rows[x0][i] > 0.0 || rows[x1][i] > 0.0) {
+        for ((&w, &a), &b) in omega.iter().zip(p0).zip(p1) {
+            if w == 0.0 && (a > 0.0 || b > 0.0) {
                 return Err(Error::NotApplicable(
                     "victim pair has mass outside the blanket support".into(),
                 ));
             }
         }
         Ok(Self {
-            p0: rows[x0].clone(),
-            p1: rows[x1].clone(),
+            p0: p0.clone(),
+            p1: p1.clone(),
             omega,
             gamma,
         })
@@ -274,7 +274,6 @@ impl BlanketProfile {
                     "envelope must lower-bound both victim distributions".into(),
                 ));
             }
-            // vr-lint: allow(float-eq) — exact support test mirroring the constructor's coverage check
             if e == 0.0 && (a > 0.0 || b > 0.0) {
                 return Err(Error::NotApplicable(
                     "victim pair has mass outside the blanket support".into(),
@@ -303,7 +302,6 @@ impl BlanketProfile {
         let mut zmax = f64::NEG_INFINITY;
         let mut m2 = 0.0;
         for ((&p0, &p1), &w) in self.p0.iter().zip(&self.p1).zip(&self.omega) {
-            // vr-lint: allow(float-eq) — exact zero-weight skip over the validated envelope
             if w == 0.0 {
                 continue;
             }
@@ -334,7 +332,6 @@ fn delta_div_specific(
     }
     let drift = eps.exp() - 1.0;
     let hoeffding = || {
-        // vr-lint: allow(float-eq) — exact degenerate-interval guard before dividing by width²
         if width == 0.0 {
             return 0.0;
         }

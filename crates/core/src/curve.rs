@@ -102,19 +102,18 @@ impl PrivacyCurve {
     /// Conservative `δ` at `eps`: the sampled value at the largest grid
     /// point ≤ `eps` (valid upper bound since `δ(·)` is non-increasing).
     pub fn delta_at(&self, eps: f64) -> f64 {
-        match self.eps.iter().rposition(|&e| e <= eps) {
-            Some(i) => self.delta[i],
-            None => 1.0, // eps below the grid start: no guarantee claimed
-        }
+        self.eps
+            .iter()
+            .zip(&self.delta)
+            .rev()
+            .find(|&(&e, _)| e <= eps)
+            .map_or(1.0, |(_, &d)| d) // eps below the grid start: no guarantee claimed
     }
 
     /// Conservative `ε` at `delta`: the smallest grid point whose sampled
     /// `δ` is ≤ `delta`; `None` if the curve never gets there.
     pub fn epsilon_at(&self, delta: f64) -> Option<f64> {
-        self.delta
-            .iter()
-            .position(|&d| d <= delta)
-            .map(|i| self.eps[i])
+        self.points().find(|&(_, d)| d <= delta).map(|(e, _)| e)
     }
 
     /// Hockey-stick divergence is an f-divergence: the curve must be convex
@@ -124,8 +123,9 @@ impl PrivacyCurve {
         let mut worst: f64 = 0.0;
         for w in self.delta.windows(3) {
             // Midpoint above chord = concave kink.
-            let chord = 0.5 * (w[0] + w[2]);
-            worst = worst.max(w[1] - chord);
+            if let &[lo, mid, hi] = w {
+                worst = worst.max(mid - 0.5 * (lo + hi));
+            }
         }
         worst
     }

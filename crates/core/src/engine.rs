@@ -627,7 +627,6 @@ struct EvaluatorKey {
 /// so the two hash and compare identically (IEEE-754 equality already treats
 /// them as equal). NaN must be rejected by the caller before keying.
 fn canonical_bits(x: f64) -> u64 {
-    // vr-lint: allow(float-eq) — IEEE equality is exactly the -0.0 ≡ 0.0 fold this canonicalization needs
     if x == 0.0 {
         0.0f64.to_bits()
     } else {
@@ -1013,7 +1012,10 @@ impl AnalysisEngine {
             // workload produced (mean-shifted to the new n), and account the
             // build. Only the thread that actually builds records stats.
             let hint = self.support_hint(&wkey, n, two_r);
-            // vr-lint: allow(nondeterminism) — build-time metering feeds the report's stats, never a bound value
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "build-time metering feeds the report's stats, never a bound value"
+            )]
             let t0 = Instant::now();
             let (ev, stats) = DeltaEvaluator::with_support_hint(acc, mode, hint);
             let cells = &self.build_stat_cells;
@@ -1125,7 +1127,10 @@ impl AnalysisEngine {
 
     /// Serve one query.
     pub fn run(&self, query: &AmplificationQuery) -> Result<AnalysisReport> {
-        // vr-lint: allow(nondeterminism) — this is the report's wall-clock plumbing; the value/bound fields stay deterministic
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this is the report's wall-clock plumbing; the value/bound fields stay deterministic"
+        )]
         let t0 = Instant::now();
         let (value, bound, validity, cache_hit, certificate) = self.execute(query)?;
         Ok(AnalysisReport {

@@ -345,16 +345,39 @@ mod tests {
 
     #[test]
     fn round_spend_epsilon_is_bit_identical_to_renyi_bound() {
+        use crate::bound::AmplificationBound;
         for &(eps0, n) in &[(0.5, 1_000u64), (1.0, 10_000), (2.0, 250_000)] {
             let vr = wc(eps0);
             let spend = RoundSpend::new(vr, n).unwrap();
+            // The reference divergences, computed once per n (one grid at
+            // n = 2.5·10⁵ costs tens of seconds), folded exactly like
+            // `RenyiBound::epsilon`: min over λ from `+∞`, in grid order.
+            let reference_rdp: Vec<(f64, f64)> = default_lambda_grid()
+                .into_iter()
+                .map(|lambda| (lambda, renyi_divergence(&vr, n, lambda).unwrap()))
+                .collect();
+            let reference = |rounds: u32, delta: f64| {
+                reference_rdp
+                    .iter()
+                    .fold(f64::INFINITY, |best, &(lambda, rdp)| {
+                        best.min(rdp_to_dp(lambda, rounds as f64 * rdp, delta))
+                    })
+            };
+            // Tie the mirror to the real route once per n.
+            assert_eq!(
+                reference(7, 1e-8).to_bits(),
+                RenyiBound::new(vr, n, 7)
+                    .unwrap()
+                    .epsilon(1e-8)
+                    .unwrap()
+                    .to_bits(),
+                "the reference fold drifted from RenyiBound at eps0={eps0} n={n}"
+            );
             for rounds in [1u32, 2, 3, 7, 64, 1000] {
                 for delta in [1e-5, 1e-8, 1e-12] {
-                    use crate::bound::AmplificationBound;
-                    let reference = RenyiBound::new(vr, n, rounds).unwrap();
                     assert_eq!(
                         spend.epsilon(rounds, delta).to_bits(),
-                        reference.epsilon(delta).unwrap().to_bits(),
+                        reference(rounds, delta).to_bits(),
                         "drift at eps0={eps0} n={n} rounds={rounds} delta={delta:e}"
                     );
                 }

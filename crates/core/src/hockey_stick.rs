@@ -41,7 +41,6 @@ pub fn max_ratio(p: &[f64], q: &[f64]) -> f64 {
     let mut m: f64 = 1.0;
     for (&pi, &qi) in p.iter().zip(q) {
         if pi > 0.0 {
-            // vr-lint: allow(float-eq) — exact support-mismatch test: P-mass on a literal-zero Q cell is ∞
             if qi == 0.0 {
                 return f64::INFINITY;
             }

@@ -53,6 +53,10 @@
 //! shared, thread-safe cache of memoized evaluators.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "unit tests pin exact values bit for bit")
+)]
 #![warn(missing_docs)]
 
 pub mod accountant;

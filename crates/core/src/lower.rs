@@ -215,7 +215,6 @@ impl LowerBoundAccountant {
         // g(t) = (1 − α − pα)(n − t)/(1 − r0 − r1).
         let g = |t: u64| -> f64 {
             let remaining = (n - t.min(n)) as f64;
-            // vr-lint: allow(float-eq) — exact emptiness tests; `remaining` is an integer-valued f64
             if rest == 0.0 || remaining == 0.0 {
                 0.0
             } else if 1.0 - rr <= 0.0 {
@@ -244,7 +243,6 @@ impl LowerBoundAccountant {
         let mut d_pq = 0.0;
         let mut d_qp = 0.0;
         for (i, &w) in weights.iter().enumerate() {
-            // vr-lint: allow(float-eq) — exact zero-weight skip; `weights_in` emits literal 0.0 outside the support
             if w == 0.0 {
                 continue;
             }

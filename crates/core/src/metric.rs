@@ -43,7 +43,6 @@ pub fn planar_laplace_metric_params(d01: f64, dmax: f64) -> Result<VariationRati
 /// The planar-Laplace total variation bound `β(d01)` of Table 3.
 pub fn planar_laplace_beta(d01: f64) -> f64 {
     assert!(d01 >= 0.0);
-    // vr-lint: allow(float-eq) — exact coincident-points guard; β(0) = 0 is the defined limit
     if d01 == 0.0 {
         return 0.0;
     }

@@ -92,7 +92,6 @@ impl DominatingPair {
         let r = self.vr.r();
         let (af, bf) = (a as f64, b as f64);
         let rem = (self.n - a.min(self.n) - b.min(self.n - a.min(self.n))) as f64;
-        // vr-lint: allow(float-eq) — exact emptiness tests; `rem` is an integer-valued f64
         let tail = if rest == 0.0 || rem == 0.0 {
             0.0
         } else if 1.0 - 2.0 * r <= 0.0 {
@@ -102,9 +101,7 @@ impl DominatingPair {
         };
         let num = p_alpha * af + alpha * bf + tail;
         let den = alpha * af + p_alpha * bf + tail;
-        // vr-lint: allow(float-eq) — exact 0/0 disambiguation: the likelihood ratio at empty cells
         if den == 0.0 {
-            // vr-lint: allow(float-eq) — see above; a literal-zero numerator gives ratio 1 by convention
             if num == 0.0 {
                 1.0
             } else {

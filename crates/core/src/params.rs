@@ -165,7 +165,6 @@ impl VariationRatio {
     /// (`β = 0`): shuffled outputs are identically distributed and every
     /// divergence is 0.
     pub fn is_degenerate(&self) -> bool {
-        // vr-lint: allow(float-eq) — exact degeneracy test: only a literal β = 0 collapses the pair
         self.beta == 0.0
     }
 }

@@ -142,7 +142,6 @@ pub fn renyi_divergence(vr: &VariationRatio, n: u64, lambda: f64) -> Result<f64>
     let mut moment = 0.0;
     let mut covered_q = 0.0;
     for (i, &wc) in outer_w.iter().enumerate() {
-        // vr-lint: allow(float-eq) — exact zero-weight skip; `weights_in` emits literal 0.0 outside the support
         if wc == 0.0 {
             continue;
         }

@@ -52,6 +52,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "unit tests pin exact values bit for bit")
+)]
 #![warn(missing_docs)]
 
 pub mod csv;
@@ -394,9 +398,10 @@ impl BudgetLedger {
     ///
     /// Same domains as [`BudgetLedger::remaining`] plus a non-zero `cap`;
     /// workload pricing errors propagate from the engine seam.
-    // Mirrors the wire op field for field; a params struct would just
-    // move the eight names one call-site away.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the wire op field for field; a params struct would just move the eight names one call-site away"
+    )]
     pub fn affordable_rounds(
         &self,
         engine: &AnalysisEngine,

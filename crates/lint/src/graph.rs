@@ -36,18 +36,20 @@
 //! rustc, not here; the explicit unresolved bucket is the honest boundary.
 
 use crate::lexer::{Lexed, Span, Tok, TokKind};
-use crate::policy::Zone;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One scanned file, as the graph passes consume it: path, zone, token
-/// stream, and the per-token exemption mask.
+/// One scanned file, as the graph passes consume it: path, owning
+/// package and its zone, token stream, and the per-token exemption mask.
 #[derive(Debug)]
 pub struct FileUnit {
     /// Workspace-relative path (forward slashes).
     pub rel: String,
     /// Crate the file belongs to (`core`, `server`, … or `root`).
     pub krate: String,
-    pub zone: Zone,
+    /// `[package] name` of the nearest manifest (`vr-server`, …).
+    pub package: String,
+    /// The package's manifest denies `clippy::unwrap_used`.
+    pub panic_free: bool,
     pub lexed: Lexed,
     pub exempt: Vec<bool>,
 }
@@ -447,7 +449,7 @@ impl CallGraph {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::policy::{classify, crate_of, exempt_mask};
+    use crate::policy::{crate_of, exempt_mask};
 
     fn unit(rel: &str, src: &str) -> FileUnit {
         let lexed = lex(src).expect("fixture lexes");
@@ -455,7 +457,8 @@ mod tests {
         FileUnit {
             rel: rel.to_string(),
             krate: crate_of(rel).to_string(),
-            zone: classify(rel).expect("fixture in zone"),
+            package: String::new(),
+            panic_free: false,
             lexed,
             exempt,
         }

@@ -1,10 +1,9 @@
-//! A hand-rolled Rust lexer for the rule engine — the same house approach
+//! A hand-rolled Rust lexer for the graph passes — the same house approach
 //! as `vr_server::json`: std-only, span-precise, hostile-input honest.
 //!
-//! The lexer's one job is to make rule matching *trustworthy*: a forbidden
-//! token inside a string literal, a raw string, a char literal, or a
-//! (possibly nested) comment must never reach the rule engine, and a
-//! waiver comment must be recoverable with its exact source line. The
+//! The lexer's one job is to make the call graph *trustworthy*: a call,
+//! `unwrap` or lock token inside a string literal, a raw string, a char
+//! literal, or a (possibly nested) comment must never reach a pass. The
 //! classic traps are all handled explicitly:
 //!
 //! * raw strings with arbitrary hash fences (`r#"…"#`, `br##"…"##`) and
@@ -18,7 +17,7 @@
 //!   `>=` never alias `==`).
 //!
 //! Output is a flat significant-token stream plus a separate comment list
-//! (rule matching never sees comments; the waiver parser never sees code).
+//! (the passes never see comments).
 
 use std::fmt;
 

@@ -1,69 +1,49 @@
-//! # vr-lint — the workspace's invariant checker
+//! # vr-lint — the workspace's call-graph checker
 //!
-//! A std-only, dependency-free static analysis pass that encodes this
-//! repository's house contracts — the properties the certified privacy
-//! accounting story rests on — as enforced rules instead of reviewer
-//! memory:
+//! The house contracts the certified privacy accounting rests on are
+//! enforced in two layers.
 //!
-//! * **panic-freedom** — "no user query can panic a worker" (PR 4) and
-//!   "certified results, not aborts" only hold if the serving path and the
-//!   numeric kernels cannot reach `unwrap`/`expect`/`panic!`-family macros
-//!   or unchecked indexing.
-//! * **float-discipline** — exact bit-equality contracts are deliberate
-//!   here (wire round-trip, warm/cold cache equality); *incidental* float
-//!   `==` is a bug magnet, so every float comparison must be a waivered,
-//!   reasoned exactness guard.
-//! * **determinism** — result-producing paths must not read clocks or
-//!   entropy; timing flows only through the engine's report plumbing.
-//! * **poison-discipline** — lock guards recover via
-//!   `unwrap_or_else(PoisonError::into_inner)`, never bare `.unwrap()`.
-//! * **cast-audit** — `as` casts on the wire boundary silently truncate;
-//!   each one must be a checked conversion or carry a waiver.
+//! **Token-level policies are clippy lints.** Each crate's `Cargo.toml`
+//! carries a `[lints.clippy]` table naming the policies it answers to, and
+//! the workspace `clippy.toml` configures them; CI runs
+//! `cargo clippy --workspace --all-targets -- -D warnings`:
 //!
-//! # Rule → policy → zone table
-//!
-//! | Rule | Policy | Enforced in |
+//! | Policy | Clippy lints | Crates |
 //! |---|---|---|
-//! | `unwrap-call`, `expect-call`, `panic-macro`, `slice-index` | panic-freedom | `vr-server` src, `vr-numerics` src, `vr-core` `engine`/`accountant`/`bound` |
-//! | `float-eq` | float-discipline | every vr-* lib crate + root facade |
-//! | `nondeterminism` | determinism | `vr-numerics`, all of `vr-core` |
-//! | `lock-unwrap` | poison-discipline | every vr-* lib crate + root facade |
-//! | `narrowing-cast` | cast-audit | `vr-server` src only |
+//! | panic-freedom | `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented`, `indexing_slicing` | `vr-server`, `vr-ledger`, `vr-numerics`, `vr-core` |
+//! | poison-discipline | `unwrap_used`, `expect_used` (lock guards recover via `PoisonError::into_inner`) | same |
+//! | float-discipline | `float_cmp` | every `vr-*` lib crate except `vr-bench` |
+//! | determinism | `disallowed_methods` (`Instant::now`, `SystemTime::now`) | all but `vr-server`, `vr-bench` and the compat shims |
+//! | cast-audit | `cast_possible_truncation`, `cast_precision_loss`, `cast_sign_loss`, `cast_possible_wrap` | `vr-server`, `vr-ledger` |
+//! | waiver hygiene | `allow_attributes`, `allow_attributes_without_reason` | every `vr-*` crate and the root facade |
 //!
-//! Tests (`#[cfg(test)]` items, `tests/`, `benches/`, `examples/`),
-//! the vendored `crates/compat` stand-ins, and the `vr-bench` figure
-//! drivers are exempt: a panic there is an assertion, not an outage.
+//! A deliberate exception is an `#[expect(clippy::…, reason = "…")]` on
+//! the narrowest item rustc accepts; an expectation that suppresses
+//! nothing fails the build under `-D warnings`.
 //!
-//! # Graph passes
+//! **Cross-file invariants are this crate.** Clippy sees one function at
+//! a time, so two [`passes`] run over a name-based workspace call graph
+//! ([`graph`]) built from a std-only [`lexer`]:
 //!
-//! Two [`passes`] run over a name-based workspace call graph ([`graph`]):
-//! `panic-reach` (no wire entry point reaches a panic site) and
-//! `lock-order` (every lock acquisition respects the declared order in
-//! [`policy`]). Their findings are never waivable.
+//! * `panic-reach` — no wire entry point reaches a panic site in a crate
+//!   clippy does not police, or one covered by an unwrap/expect
+//!   expectation. Zones come from the same manifest tables
+//!   ([`policy::CrateLints`]).
+//! * `lock-order` — every lock acquisition respects the declared order in
+//!   [`policy::LockClass`].
 //!
-//! # Waivers
-//!
-//! A finding the team decides is *correct code* gets an inline waiver with
-//! a written reason (syntax details in [`rules`]):
-//!
-//! ```text
-//! if w == 0.0 { // vr-lint: allow(float-eq) — exact zero-weight guard
-//! ```
-//!
-//! Waivers are inventoried in `lint_waivers.txt` at the workspace root;
-//! [`check_waiver_lockfile`] fails when the tree and the lockfile
-//! disagree, so the waiver set can only grow through a reviewed diff.
+//! Tests (`#[cfg(test)]` items, `tests/`, `benches/`, `examples/`) are
+//! never scanned: a panic there is an assertion, not an outage.
 
 pub mod graph;
 pub mod lexer;
 pub mod passes;
 pub mod policy;
 pub mod report;
-pub mod rules;
 
 use graph::FileUnit;
-use policy::{classify, crate_of, exempt_mask};
-use report::{FileReport, PassFinding, RunReport};
+use policy::{crate_of, exempt_mask, is_test_surface, CrateLints};
+use report::{GraphStats, PassFinding, RunReport};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -80,89 +60,91 @@ impl std::fmt::Display for ToolError {
 
 impl std::error::Error for ToolError {}
 
-/// Scan one in-memory source file: token rules plus the retained
-/// token-stream unit the graph passes consume.
-fn scan_source(rel: &str, source: &str) -> Result<Option<(FileUnit, FileReport)>, ToolError> {
-    let zone = match classify(rel) {
-        Ok(z) => z,
-        Err(_) => return Ok(None),
-    };
-    let lexed = lexer::lex(source).map_err(|e| ToolError(format!("{rel}: lex error: {e}")))?;
-    let exempt = exempt_mask(&lexed.tokens);
-    let matched = rules::run(&lexed, &exempt, zone);
-    let file_report = FileReport {
-        path: rel.to_string(),
-        krate: crate_of(rel).to_string(),
-        zone: zone.name().to_string(),
-        findings: matched.findings,
-        waivers: matched.waivers,
-    };
-    let unit = FileUnit {
-        rel: rel.to_string(),
-        krate: crate_of(rel).to_string(),
-        zone,
-        lexed,
-        exempt,
-    };
-    Ok(Some((unit, file_report)))
-}
-
-/// Lint one in-memory source file classified at `rel` path (token rules
-/// only). The unit the golden-file tests drive directly.
-pub fn lint_source(rel: &str, source: &str) -> Result<Option<FileReport>, ToolError> {
-    Ok(scan_source(rel, source)?.map(|(_, r)| r))
+/// Lex every non-test `.rs` source in `sources` (keyed by workspace-
+/// relative path) into a graph unit. `Cargo.toml` entries are manifests:
+/// each source takes its package and zone from the nearest one above it.
+fn scan(
+    sources: &BTreeMap<String, String>,
+    report: &mut RunReport,
+) -> Result<Vec<FileUnit>, ToolError> {
+    let manifests: BTreeMap<&str, CrateLints> = sources
+        .iter()
+        .filter_map(|(rel, text)| {
+            let dir = rel.strip_suffix("Cargo.toml")?;
+            Some((dir.trim_end_matches('/'), CrateLints::parse(text)))
+        })
+        .collect();
+    report.panic_free_crates = manifests
+        .values()
+        .filter(|m| m.panic_free)
+        .map(|m| m.package.clone())
+        .collect();
+    report.panic_free_crates.sort();
+    let mut units = Vec::new();
+    for (rel, source) in sources.iter().filter(|(rel, _)| rel.ends_with(".rs")) {
+        if is_test_surface(rel) {
+            report.skipped += 1;
+            continue;
+        }
+        // Nearest enclosing manifest: `crates/x/src/a.rs` tries
+        // `crates/x/src`, `crates/x`, `crates`, then the root (`""`).
+        let mut dir = rel.as_str();
+        let lints = loop {
+            dir = dir.rsplit_once('/').map_or("", |(parent, _)| parent);
+            if let Some(m) = manifests.get(dir) {
+                break m.clone();
+            }
+            if dir.is_empty() {
+                break CrateLints::default();
+            }
+        };
+        let lexed = lexer::lex(source).map_err(|e| ToolError(format!("{rel}: lex error: {e}")))?;
+        let exempt = exempt_mask(&lexed.tokens);
+        units.push(FileUnit {
+            rel: rel.clone(),
+            krate: crate_of(rel).to_string(),
+            panic_free: lints.panic_free,
+            package: lints.package,
+            lexed,
+            exempt,
+        });
+        report.files.push(rel.clone());
+    }
+    Ok(units)
 }
 
 /// Run the graph passes (call-graph build + panic-reach + lock-order) over
-/// a set of in-memory sources keyed by workspace-relative path. The entry
-/// the pass golden tests drive with fixture mini-workspaces.
+/// a set of in-memory sources and manifests keyed by workspace-relative
+/// path. The entry the pass golden tests drive with fixture
+/// mini-workspaces.
 pub fn analyze_sources(
     sources: &BTreeMap<String, String>,
-) -> Result<(Vec<PassFinding>, report::GraphStats), ToolError> {
-    let mut units = Vec::new();
-    let mut reports = Vec::new();
-    for (rel, source) in sources {
-        if let Some((unit, file_report)) = scan_source(rel, source)? {
-            units.push(unit);
-            reports.push(file_report);
-        }
-    }
-    Ok(passes::run_all(&units, &reports))
+) -> Result<(Vec<PassFinding>, GraphStats), ToolError> {
+    let units = scan(sources, &mut RunReport::default())?;
+    Ok(passes::run_all(&units))
 }
 
-/// Walk the workspace at `root`, lint every `.rs` file in a policy zone,
-/// then run the graph passes over the retained token streams. Returns the
-/// run report plus each scanned file's source (for diagnostics rendering).
+/// Walk the workspace at `root`, read every manifest and every `.rs` file,
+/// then run the graph passes. Returns the run report plus the sources read
+/// (for diagnostics rendering).
 pub fn lint_workspace(root: &Path) -> Result<(RunReport, BTreeMap<String, String>), ToolError> {
     let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)
+    collect_files(root, root, &mut files)
         .map_err(|e| ToolError(format!("walking {}: {e}", root.display())))?;
-    files.sort();
-
-    let mut report = RunReport::default();
     let mut sources = BTreeMap::new();
-    let mut units = Vec::new();
     for rel in files {
         let full = root.join(&rel);
         let source = fs::read_to_string(&full)
             .map_err(|e| ToolError(format!("reading {}: {e}", full.display())))?;
-        match scan_source(&rel, &source)? {
-            Some((unit, file_report)) => {
-                sources.insert(rel, source);
-                units.push(unit);
-                report.files.push(file_report);
-            }
-            None => report.skipped += 1,
-        }
+        sources.insert(rel, source);
     }
-    // `units` and `report.files` are parallel by construction above.
-    let (graph_findings, stats) = passes::run_all(&units, &report.files);
-    report.graph = graph_findings;
-    report.graph_stats = stats;
+    let mut report = RunReport::default();
+    let units = scan(&sources, &mut report)?;
+    (report.graph, report.graph_stats) = passes::run_all(&units);
     Ok((report, sources))
 }
 
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
+fn collect_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -172,8 +154,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
             if matches!(name.as_ref(), "target" | ".git" | "results") {
                 continue;
             }
-            collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+            collect_files(root, &path, out)?;
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             if let Ok(rel) = path.strip_prefix(root) {
                 out.push(rel.to_string_lossy().replace('\\', "/"));
             }
@@ -196,94 +178,4 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         dir = d.parent().map(Path::to_path_buf);
     }
     None
-}
-
-/// Compare the tree's waiver inventory against the `lint_waivers.txt`
-/// lockfile. `Ok(())` when they agree; `Err` carries a human diff summary.
-pub fn check_waiver_lockfile(report: &RunReport, lockfile: &Path) -> Result<(), String> {
-    let expected = report.waiver_lockfile();
-    let actual = match fs::read_to_string(lockfile) {
-        Ok(s) => s,
-        Err(_) => {
-            return Err(format!(
-                "waiver lockfile {} is missing; regenerate with \
-                 `cargo run -p vr-lint -- --workspace --write-waivers`",
-                lockfile.display()
-            ))
-        }
-    };
-    let body = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-            .map(str::to_string)
-            .collect()
-    };
-    let (exp, act) = (body(&expected), body(&actual));
-    if exp == act {
-        return Ok(());
-    }
-    let added: Vec<&String> = exp.iter().filter(|l| !act.contains(l)).collect();
-    let removed: Vec<&String> = act.iter().filter(|l| !exp.contains(l)).collect();
-    let mut msg = format!(
-        "waiver inventory and {} disagree ({} in tree, {} locked); \
-         regenerate with `cargo run -p vr-lint -- --workspace --write-waivers`\n",
-        lockfile.display(),
-        exp.len(),
-        act.len()
-    );
-    for l in added.iter().take(8) {
-        msg.push_str(&format!("  + {l}\n"));
-    }
-    for l in removed.iter().take(8) {
-        msg.push_str(&format!("  - {l}\n"));
-    }
-    Err(msg)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lint_source_skips_test_surfaces() {
-        assert!(lint_source("tests/foo.rs", "fn f() { x.unwrap(); }")
-            .expect("lints")
-            .is_none());
-        assert!(lint_source("crates/compat/rand/src/lib.rs", "fn f() {}")
-            .expect("lints")
-            .is_none());
-    }
-
-    #[test]
-    fn lint_source_reports_zone_and_crate() {
-        let r = lint_source("crates/server/src/server.rs", "fn f() { x.unwrap(); }")
-            .expect("lints")
-            .expect("in zone");
-        assert_eq!(r.zone, "server-wire");
-        assert_eq!(r.krate, "server");
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, "unwrap-call");
-    }
-
-    #[test]
-    fn lockfile_roundtrip_and_mismatch() {
-        let r = lint_source(
-            "crates/core/src/mixture.rs",
-            "fn f() { if w == 0.0 {} } // vr-lint: allow(float-eq) — exact zero-mass guard",
-        )
-        .expect("lints")
-        .expect("in zone");
-        let report = RunReport {
-            files: vec![r],
-            ..RunReport::default()
-        };
-        let dir = std::env::temp_dir().join("vr-lint-test-lockfile");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let lock = dir.join("lint_waivers.txt");
-        std::fs::write(&lock, report.waiver_lockfile()).expect("write lock");
-        assert!(check_waiver_lockfile(&report, &lock).is_ok());
-        std::fs::write(&lock, "# empty\n").expect("write lock");
-        let err = check_waiver_lockfile(&report, &lock).expect_err("must mismatch");
-        assert!(err.contains("disagree"));
-    }
 }

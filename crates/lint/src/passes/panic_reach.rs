@@ -1,43 +1,95 @@
 //! Panic-reachability: seed the call graph at the wire entry points and
 //! report every path that reaches a panicking construct.
 //!
-//! Seeds are all non-exempt functions in `server-wire` zone files — the
-//! protocol dispatch, the shard event loops, the client/CLI surface: the
-//! set a hostile peer can drive. Two kinds of finding come out:
+//! Seeds are all non-exempt functions of [`WIRE_PACKAGE`] — the protocol
+//! dispatch, the shard event loops, the client/CLI surface: the set a
+//! hostile peer can drive. Zones come from the manifests' clippy tables
+//! ([`crate::policy::CrateLints`]). Two kinds of finding come out:
 //!
-//! 1. A reachable function in a zone **without** token-level
-//!    panic-freedom (`core-lib`, `library`) whose body contains
-//!    `.unwrap(…)`, `.expect(…)` or a panic macro. The per-file rules are
-//!    blind there by design; reachability closes the blindspot.
-//! 2. A reachable function in any zone containing a **waived**
-//!    `unwrap-call`/`expect-call` site. A waiver vouches for a local
-//!    invariant, but a hostile request stream ending at that site is an
-//!    outage path — the waiver does not transfer across the graph.
-//!    (Waived `slice-index`/`panic-macro` sites stay honored: those
-//!    waivers state bounding/unreachability invariants that hold for any
-//!    caller.)
+//! 1. A reachable function in a crate that does **not** deny
+//!    `clippy::unwrap_used` whose body contains `.unwrap(…)`,
+//!    `.expect(…)` or a panic macro. Clippy is silent there by design;
+//!    reachability closes the blindspot.
+//! 2. A reachable function covered by an
+//!    `#[expect(clippy::unwrap_used)]` or `#[expect(clippy::expect_used)]`
+//!    (on the fn, an enclosing item, or a statement in its body). The
+//!    expectation vouches for a local invariant, but a hostile request
+//!    stream ending at that site is an outage path — the expectation does
+//!    not transfer across the graph. (Expected `indexing_slicing`/`panic`
+//!    sites stay honored: those reasons state bounding/unreachability
+//!    invariants that hold for any caller.)
 
 use crate::graph::{CallGraph, FileUnit};
-use crate::lexer::TokKind;
-use crate::report::{FileReport, PassFinding};
-use crate::rules::RuleId;
+use crate::lexer::{Span, TokKind};
+use crate::policy::{attributes, WIRE_PACKAGE};
+use crate::report::PassFinding;
 
-/// Does this zone already enforce token-level panic-freedom?
-fn zone_has_panic_rules(zone: crate::policy::Zone) -> bool {
-    zone.rules().contains(&RuleId::UnwrapCall)
-}
-
-pub fn run(files: &[FileUnit], graph: &CallGraph, reports: &[FileReport]) -> Vec<PassFinding> {
-    let seeds: Vec<usize> = graph
+/// Indices of the functions panic-reach seeds from.
+pub fn seeds(files: &[FileUnit], graph: &CallGraph) -> Vec<usize> {
+    graph
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, f)| {
-            !f.exempt && files[f.file].zone == crate::policy::Zone::ServerWire && f.body.is_some()
-        })
+        .filter(|(_, f)| !f.exempt && files[f.file].package == WIRE_PACKAGE && f.body.is_some())
         .map(|(i, _)| i)
-        .collect();
-    let parents = graph.reach_parents(&seeds);
+        .collect()
+}
+
+/// An `expect(clippy::unwrap_used | expect_used)` and what it governs.
+#[derive(Clone)]
+struct Expectation<'t> {
+    /// Inclusive token range governed, in the file the list belongs to.
+    from: usize,
+    to: usize,
+    lint: &'t str,
+    /// File and span of the attribute itself.
+    anchor: usize,
+    span: Span,
+}
+
+/// Per file, every unwrap/expect expectation governing some of its tokens.
+/// An inner attribute at the top of a crate root (`src/lib.rs`,
+/// `src/main.rs`) governs every file of its package.
+fn unwrap_expectations(files: &[FileUnit]) -> Vec<Vec<Expectation<'_>>> {
+    let mut out = vec![Vec::new(); files.len()];
+    for (anchor, unit) in files.iter().enumerate() {
+        let tokens = &unit.lexed.tokens;
+        let crate_root = unit.rel.ends_with("src/lib.rs") || unit.rel.ends_with("src/main.rs");
+        for attr in attributes(tokens) {
+            let (from, to) = attr.scope(tokens);
+            for (lint, span) in attr.expected_clippy_lints(tokens) {
+                if !matches!(lint, "unwrap_used" | "expect_used") {
+                    continue;
+                }
+                let e = Expectation {
+                    from,
+                    to,
+                    lint,
+                    anchor,
+                    span,
+                };
+                if crate_root && attr.is_inner() {
+                    for (fi, other) in files.iter().enumerate() {
+                        if other.package == unit.package {
+                            out[fi].push(Expectation {
+                                from: 0,
+                                to: usize::MAX,
+                                ..e.clone()
+                            });
+                        }
+                    }
+                } else {
+                    out[anchor].push(e);
+                }
+            }
+        }
+    }
+    out
+}
+
+pub fn run(files: &[FileUnit], graph: &CallGraph, seeds: &[usize]) -> Vec<PassFinding> {
+    let parents = graph.reach_parents(seeds);
+    let expectations = unwrap_expectations(files);
 
     let mut findings = Vec::new();
     for &fx in parents.keys() {
@@ -45,13 +97,12 @@ pub fn run(files: &[FileUnit], graph: &CallGraph, reports: &[FileReport]) -> Vec
         let unit = &files[item.file];
         let Some((lo, hi)) = item.body else { continue };
         let tokens = &unit.lexed.tokens;
-        let body_first_line = tokens[lo].span.line;
-        let body_last_line = tokens[hi].span.line;
+        let hi = hi.min(tokens.len().saturating_sub(1));
 
-        // Kind 1: direct panicking constructs in zones the token rules
-        // leave alone.
-        if !zone_has_panic_rules(unit.zone) {
-            for i in lo..=hi.min(tokens.len().saturating_sub(1)) {
+        // Kind 1: direct panicking constructs where clippy is not asked to
+        // look.
+        if !unit.panic_free {
+            for i in lo..=hi {
                 if unit.exempt.get(i).copied().unwrap_or(false) {
                     continue;
                 }
@@ -89,28 +140,24 @@ pub fn run(files: &[FileUnit], graph: &CallGraph, reports: &[FileReport]) -> Vec
             }
         }
 
-        // Kind 2: waived unwrap/expect findings inside a reachable body.
-        let Some(report) = reports.get(item.file) else {
-            continue;
-        };
-        for f in &report.findings {
-            let waived_panic = f.waived
-                && (f.rule == RuleId::UnwrapCall.id() || f.rule == RuleId::ExpectCall.id());
-            if waived_panic && f.span.line >= body_first_line && f.span.line <= body_last_line {
-                findings.push(PassFinding {
-                    file: unit.rel.clone(),
-                    pass: "panic-reach",
-                    rule: "reachable-panic",
-                    span: f.span,
-                    message: format!(
-                        "waived `{}` in `{}` is wire-reachable (a waiver does not cross the \
-                         call graph): {}",
-                        f.rule,
-                        item.qualified(),
-                        graph.path_to(&parents, fx)
-                    ),
-                });
+        // Kind 2: an unwrap/expect expectation governing the reachable body.
+        for e in &expectations[item.file] {
+            if e.from > hi || e.to < lo {
+                continue;
             }
+            findings.push(PassFinding {
+                file: files[e.anchor].rel.clone(),
+                pass: "panic-reach",
+                rule: "reachable-panic",
+                span: e.span,
+                message: format!(
+                    "`expect(clippy::{})` covers `{}`, which is wire-reachable (an \
+                     expectation does not cross the call graph): {}",
+                    e.lint,
+                    item.qualified(),
+                    graph.path_to(&parents, fx)
+                ),
+            });
         }
     }
 

@@ -1,141 +1,67 @@
 //! Policy zones and exemption scanning.
 //!
-//! A *zone* says which rules a file answers to; it is decided purely from
-//! the file's workspace-relative path (the policy the repo actually wants
-//! is structural: serving boundary, numeric kernels, engine core, plain
-//! library code). Within a file, `#[cfg(test)]` / `#[test]` items and all
-//! attribute token ranges are *exempt*: rules never match inside them.
+//! The token-level policies (panic-freedom, float-discipline, determinism,
+//! cast-audit, waiver hygiene) are clippy lints, switched on per crate in
+//! each manifest's `[lints.clippy]` table. The graph passes read the same
+//! tables through [`CrateLints`], so the zone list has one home: a crate
+//! is *panic-free* exactly when its manifest denies `clippy::unwrap_used`.
+//! Within a file, `#[cfg(test)]` / `#[test]` items and all attribute token
+//! ranges are *exempt*: the passes never look inside them.
 
-use crate::lexer::{Tok, TokKind};
-use crate::rules::RuleId;
+use crate::lexer::{Span, Tok, TokKind};
 
-/// The policy zone a scanned file belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Zone {
-    /// `vr-server` wire/request path: everything a hostile client can
-    /// reach. Panic-freedom + float-discipline + poison-discipline +
-    /// cast-audit.
-    ServerWire,
-    /// `vr-numerics`: every routine feeds certified accounting.
-    /// Panic-freedom + float-discipline + determinism + poison-discipline.
-    Numerics,
-    /// `vr-core` result kernel (`engine`, `accountant`, `bound` and
-    /// submodules): same contract as numerics.
-    CoreKernel,
-    /// Rest of `vr-core`: float-discipline + determinism +
-    /// poison-discipline (panic-freedom is tracked only for the kernel).
-    CoreLib,
-    /// `vr-ldp`, `vr-protocols`, the root facade: float-discipline +
-    /// poison-discipline.
-    Library,
-    /// `vr-ledger`: shared accounting state a hostile wire client reaches
-    /// through the daemon, holding certified spend totals. Full serving
-    /// contract — panic-freedom + float-discipline + poison-discipline +
-    /// cast-audit — plus determinism, because charge receipts and
-    /// `remaining` answers must be bit-replayable.
-    Ledger,
+/// The package whose non-test functions seed panic-reach: everything a
+/// hostile wire client can drive.
+pub const WIRE_PACKAGE: &str = "vr-server";
+
+/// What a package's manifest says about it: its name and its zone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CrateLints {
+    /// `[package] name`.
+    pub package: String,
+    /// Panic-freedom zone: the `[lints.clippy]` table denies (or forbids)
+    /// `unwrap_used`, so clippy already rejects `unwrap`/`expect` here and
+    /// panic-reach only has to police the `#[expect]`s.
+    pub panic_free: bool,
 }
 
-impl Zone {
-    /// Stable zone name for diagnostics and the JSON report.
-    pub fn name(self) -> &'static str {
-        match self {
-            Zone::ServerWire => "server-wire",
-            Zone::Numerics => "numerics",
-            Zone::CoreKernel => "core-kernel",
-            Zone::CoreLib => "core-lib",
-            Zone::Library => "library",
-            Zone::Ledger => "ledger",
+impl CrateLints {
+    /// Read the `[package]` name and the `unwrap_used` level from a
+    /// `Cargo.toml`. Line-based: both tables are flat `key = value` lists,
+    /// and a level is either `"deny"` or an inline `{ level = "deny", … }`.
+    pub fn parse(manifest: &str) -> Self {
+        let mut lints = CrateLints::default();
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if let Some(header) = line.strip_prefix('[') {
+                section = header.trim_end_matches(']');
+                continue;
+            }
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            let quoted = |v: &str| v.split('"').nth(1).map(str::to_string);
+            match (section, key.trim()) {
+                ("package", "name") => lints.package = quoted(value).unwrap_or_default(),
+                ("lints.clippy", "unwrap_used") => {
+                    let level = value.split_once("level").map_or(value, |(_, rest)| rest);
+                    lints.panic_free = matches!(quoted(level).as_deref(), Some("deny" | "forbid"));
+                }
+                _ => {}
+            }
         }
-    }
-
-    /// The rules enforced in this zone.
-    pub fn rules(self) -> &'static [RuleId] {
-        use RuleId::*;
-        match self {
-            Zone::ServerWire => &[
-                UnwrapCall,
-                ExpectCall,
-                PanicMacro,
-                SliceIndex,
-                FloatEq,
-                LockUnwrap,
-                NarrowingCast,
-            ],
-            Zone::Numerics | Zone::CoreKernel => &[
-                UnwrapCall,
-                ExpectCall,
-                PanicMacro,
-                SliceIndex,
-                FloatEq,
-                LockUnwrap,
-                Nondeterminism,
-            ],
-            Zone::CoreLib => &[FloatEq, LockUnwrap, Nondeterminism],
-            Zone::Library => &[FloatEq, LockUnwrap],
-            Zone::Ledger => &[
-                UnwrapCall,
-                ExpectCall,
-                PanicMacro,
-                SliceIndex,
-                FloatEq,
-                LockUnwrap,
-                NarrowingCast,
-                Nondeterminism,
-            ],
-        }
+        lints
     }
 }
 
-/// Why a file is not scanned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Skip {
-    /// Test / bench / example code: panics are assertions there.
-    TestSurface,
-    /// Exempt crate (vendored compat stand-ins, figure/bench drivers).
-    ExemptCrate,
-}
-
-/// Classify a workspace-relative path (forward slashes).
-pub fn classify(rel: &str) -> Result<Zone, Skip> {
-    if rel.starts_with("crates/compat/") || rel.starts_with("crates/bench/") {
-        return Err(Skip::ExemptCrate);
-    }
-    if rel.starts_with("tests/")
+/// Test, bench and example sources: panics there are assertions, not
+/// outages, so the passes never scan them.
+pub fn is_test_surface(rel: &str) -> bool {
+    rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
         || rel.contains("/benches/")
         || rel.contains("/examples/")
-    {
-        return Err(Skip::TestSurface);
-    }
-    if rel.starts_with("crates/server/src/") {
-        return Ok(Zone::ServerWire);
-    }
-    if rel.starts_with("crates/ledger/src/") {
-        return Ok(Zone::Ledger);
-    }
-    if rel.starts_with("crates/numerics/src/") {
-        return Ok(Zone::Numerics);
-    }
-    if let Some(file) = rel.strip_prefix("crates/core/src/") {
-        return Ok(
-            if file.starts_with("engine") || file == "accountant.rs" || file == "bound.rs" {
-                Zone::CoreKernel
-            } else {
-                Zone::CoreLib
-            },
-        );
-    }
-    if rel.starts_with("crates/ldp/src/")
-        || rel.starts_with("crates/protocols/src/")
-        || rel.starts_with("src/")
-    {
-        return Ok(Zone::Library);
-    }
-    // Anything else (lint's own sources included — it lints itself) gets
-    // the library baseline.
-    Ok(Zone::Library)
 }
 
 /// The crate a workspace-relative path belongs to, for report grouping.
@@ -146,51 +72,103 @@ pub fn crate_of(rel: &str) -> &str {
     }
 }
 
+/// One `#[…]` or `#![…]` attribute in a token stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attr {
+    /// Index of the `#`.
+    pub start: usize,
+    /// Index of the opening `[`.
+    pub open: usize,
+    /// Index of the matching `]`.
+    pub close: usize,
+}
+
+impl Attr {
+    /// `#![…]`: applies to the enclosing item rather than the next one.
+    pub fn is_inner(&self) -> bool {
+        self.open == self.start + 2
+    }
+
+    /// Inclusive token range the attribute governs: itself through the end
+    /// of the next item, or the whole file for an inner attribute (exact
+    /// at the top of a file, an over-approximation deeper in).
+    pub fn scope(&self, tokens: &[Tok]) -> (usize, usize) {
+        if self.is_inner() {
+            (0, tokens.len().saturating_sub(1))
+        } else {
+            (self.start, item_end(tokens, self.close + 1))
+        }
+    }
+
+    /// Does this outer attribute compile its item only under test
+    /// (`#[test]`, `#[cfg(test)]`, `#[cfg(all(test, …))]` — never
+    /// `cfg(not(test))` or `cfg_attr(test, …)`)?
+    pub fn gates_tests(&self, tokens: &[Tok]) -> bool {
+        let body = &tokens[self.open + 1..self.close];
+        let head = body.first().map(|t| t.text.as_str());
+        !self.is_inner()
+            && match head {
+                Some("test") => true,
+                Some("cfg") => {
+                    body.iter().any(|t| t.is_ident("test"))
+                        && !body.iter().any(|t| t.is_ident("not"))
+                }
+                _ => false,
+            }
+    }
+
+    /// The clippy lints this attribute `expect`s (a bare `#[expect(…)]` or
+    /// one inside `cfg_attr`), each with the span of its name token.
+    pub fn expected_clippy_lints<'t>(&self, tokens: &'t [Tok]) -> Vec<(&'t str, Span)> {
+        let body = &tokens[self.open + 1..self.close];
+        let Some(from) = body
+            .windows(2)
+            .position(|w| w[0].is_ident("expect") && w[1].is_punct("("))
+        else {
+            return Vec::new();
+        };
+        body[from..]
+            .windows(3)
+            .filter(|w| w[0].is_ident("clippy") && w[1].is_punct("::"))
+            .map(|w| (w[2].text.as_str(), w[2].span))
+            .collect()
+    }
+}
+
+/// Every well-formed attribute in the stream, in source order (including
+/// attributes nested inside items).
+pub fn attributes(tokens: &[Tok]) -> Vec<Attr> {
+    let mut attrs = Vec::new();
+    for start in 0..tokens.len() {
+        if !tokens[start].is_punct("#") {
+            continue;
+        }
+        let bang = tokens.get(start + 1).is_some_and(|t| t.is_punct("!"));
+        let open = start + 1 + usize::from(bang);
+        if !tokens.get(open).is_some_and(|t| t.is_punct("[")) {
+            continue;
+        }
+        if let Some(close) = matching_bracket(tokens, open) {
+            attrs.push(Attr { start, open, close });
+        }
+    }
+    attrs
+}
+
 /// Per-token exemption flags: `exempt[i]` is true when `tokens[i]` must be
-/// invisible to every rule (attribute contents, `#[cfg(test)]`/`#[test]`
+/// invisible to the passes (attribute contents, `#[cfg(test)]`/`#[test]`
 /// items).
 pub fn exempt_mask(tokens: &[Tok]) -> Vec<bool> {
     let mut exempt = vec![false; tokens.len()];
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !tokens[i].is_punct("#") {
-            i += 1;
-            continue;
-        }
-        // Outer `#[…]` or inner `#![…]` attribute.
-        let open = if tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
-            i + 1
-        } else if tokens.get(i + 1).is_some_and(|t| t.is_punct("!"))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct("["))
-        {
-            i + 2
+    for attr in attributes(tokens) {
+        let (lo, hi) = if attr.gates_tests(tokens) {
+            attr.scope(tokens)
         } else {
-            i += 1;
-            continue;
+            (attr.start, attr.close)
         };
-        let Some(close) = matching_bracket(tokens, open) else {
-            i += 1;
-            continue;
-        };
-        // Attribute contents never face rules.
-        for flag in exempt.iter_mut().take(close + 1).skip(i) {
+        for flag in exempt.iter_mut().take(hi + 1).skip(lo) {
             *flag = true;
         }
-        // Test-gating attribute? (`cfg(test)`, `test`, `cfg(all(test, …))` —
-        // but never `cfg(not(test))`.)
-        let attr = &tokens[open + 1..close];
-        let mentions_test = attr.iter().any(|t| t.is_ident("test"));
-        let negated = attr.iter().any(|t| t.is_ident("not"));
-        if mentions_test && !negated {
-            // Exempt through the end of the item this attribute gates.
-            let end = item_end(tokens, close + 1);
-            for flag in exempt.iter_mut().take(end + 1).skip(close + 1) {
-                *flag = true;
-            }
-            i = end + 1;
-            continue;
-        }
-        i = close + 1;
     }
     exempt
 }
@@ -340,41 +318,50 @@ mod tests {
     use crate::lexer::lex;
 
     #[test]
-    fn zones_by_path() {
-        assert_eq!(
-            classify("crates/server/src/server.rs"),
-            Ok(Zone::ServerWire)
+    fn manifest_lint_tables_decide_the_zone() {
+        let lints = CrateLints::parse(
+            "[package]\nname = \"vr-x\"\n\n[lib]\nname = \"vr_x\"\n\n\
+             [lints.clippy]\n# panic-freedom\nunwrap_used = { level = \"forbid\", priority = 1 }\n\
+             disallowed_methods = \"allow\"\n",
         );
-        assert_eq!(
-            classify("crates/server/src/bin/vr-query.rs"),
-            Ok(Zone::ServerWire)
-        );
-        assert_eq!(classify("crates/numerics/src/beta.rs"), Ok(Zone::Numerics));
-        assert_eq!(classify("crates/core/src/engine.rs"), Ok(Zone::CoreKernel));
-        assert_eq!(
-            classify("crates/core/src/engine/planner.rs"),
-            Ok(Zone::CoreKernel)
-        );
-        assert_eq!(
-            classify("crates/core/src/accountant.rs"),
-            Ok(Zone::CoreKernel)
-        );
-        assert_eq!(classify("crates/core/src/bound.rs"), Ok(Zone::CoreKernel));
-        assert_eq!(classify("crates/core/src/renyi.rs"), Ok(Zone::CoreLib));
-        assert_eq!(classify("crates/ledger/src/lib.rs"), Ok(Zone::Ledger));
-        assert_eq!(classify("crates/ledger/src/csv.rs"), Ok(Zone::Ledger));
-        assert_eq!(classify("crates/ldp/src/grr.rs"), Ok(Zone::Library));
-        assert_eq!(classify("src/lib.rs"), Ok(Zone::Library));
-        assert_eq!(classify("tests/planner.rs"), Err(Skip::TestSurface));
-        assert_eq!(
-            classify("crates/server/benches/server_load.rs"),
-            Err(Skip::TestSurface)
-        );
-        assert_eq!(
-            classify("crates/compat/rand/src/lib.rs"),
-            Err(Skip::ExemptCrate)
-        );
-        assert_eq!(classify("crates/bench/src/lib.rs"), Err(Skip::ExemptCrate));
+        assert_eq!(lints.package, "vr-x");
+        assert!(lints.panic_free);
+        let warned = "[package]\nname = \"vr-y\"\n[lints.clippy]\nunwrap_used = \"warn\"\n";
+        assert!(!CrateLints::parse(warned).panic_free);
+        assert!(!CrateLints::parse("[package]\nname = \"vr-z\"\n").panic_free);
+    }
+
+    #[test]
+    fn test_surfaces_by_path() {
+        assert!(is_test_surface("tests/planner.rs"));
+        assert!(is_test_surface("crates/server/benches/server_load.rs"));
+        assert!(is_test_surface("examples/quickstart.rs"));
+        assert!(!is_test_surface("crates/server/src/bin/vr-query.rs"));
+        assert_eq!(crate_of("crates/core/src/engine/spend.rs"), "core");
+        assert_eq!(crate_of("src/lib.rs"), "root");
+    }
+
+    #[test]
+    fn expect_attributes_name_their_lints_and_scope() {
+        let inner = "#![cfg_attr(test, expect(clippy::float_cmp, reason = \"r\"))]";
+        let outer = "#[expect(clippy::unwrap_used, clippy::panic, reason = \"r\")]";
+        let src = format!("{inner}\n{outer}\nfn f() {{ a.unwrap(); }}\nfn g() {{}}");
+        let lexed = lex(&src).expect("lexes");
+        let attrs = attributes(&lexed.tokens);
+        assert_eq!(attrs.len(), 2);
+        let names = |a: &Attr| -> Vec<String> {
+            a.expected_clippy_lints(&lexed.tokens)
+                .into_iter()
+                .map(|(n, _)| n.to_string())
+                .collect()
+        };
+        assert_eq!(names(&attrs[0]), ["float_cmp"]);
+        assert_eq!(names(&attrs[1]), ["unwrap_used", "panic"]);
+        assert!(attrs[0].is_inner() && !attrs[0].gates_tests(&lexed.tokens));
+        // The outer expect governs `f` and stops before `g`.
+        let (_, hi) = attrs[1].scope(&lexed.tokens);
+        assert!(lexed.tokens[hi].is_punct("}"));
+        assert!(lexed.tokens[hi + 1].is_ident("fn"));
     }
 
     #[test]

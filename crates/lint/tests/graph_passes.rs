@@ -1,17 +1,24 @@
 //! Golden fixtures for the graph passes: each seeds one violation the
 //! pass exists to catch and asserts the exact finding (pass, rule, file)
 //! comes back — plus negative controls proving the pass stays quiet on
-//! the compliant variant of the same shape. A final property block
-//! hammers the call-graph builder with adversarial token streams and
-//! checks totality and cycle-safe reachability.
+//! the compliant variant of the same shape. Fixtures are mini-workspaces:
+//! manifests ride along with the sources, since they decide the zones. A
+//! final property block hammers the call-graph builder with adversarial
+//! token streams and checks totality and cycle-safe reachability.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 use vr_lint::graph::{self, FileUnit};
 use vr_lint::lexer::lex;
-use vr_lint::policy::{classify, crate_of, exempt_mask};
+use vr_lint::policy::{crate_of, exempt_mask};
 use vr_lint::report::PassFinding;
+
+/// The wire package: its functions seed panic-reach.
+const SERVER_TOML: (&str, &str) = (
+    "crates/server/Cargo.toml",
+    "[package]\nname = \"vr-server\"\n\n[lints.clippy]\nunwrap_used = \"deny\"\n",
+);
 
 fn analyze(files: &[(&str, &str)]) -> Vec<PassFinding> {
     let sources: BTreeMap<String, String> = files
@@ -24,17 +31,20 @@ fn analyze(files: &[(&str, &str)]) -> Vec<PassFinding> {
 
 #[test]
 fn reachable_unwrap_in_unpoliced_zone_is_found() {
-    // `core-lib` has no token-level unwrap rule by design; the pass must
-    // flag the unwrap anyway because a wire seed reaches it — and must
-    // NOT flag the identical unwrap in the uncalled sibling.
+    // vr-ldp's manifest does not deny `unwrap_used`, so clippy is silent
+    // there by design; the pass must flag the unwrap anyway because a wire
+    // seed reaches it — and must NOT flag the identical unwrap in the
+    // uncalled sibling.
     let findings = analyze(&[
+        SERVER_TOML,
+        ("crates/ldp/Cargo.toml", "[package]\nname = \"vr-ldp\"\n"),
         (
             "crates/server/src/handler.rs",
-            "use vr_core::compute_bound;\n\
+            "use vr_ldp::compute_bound;\n\
                  pub fn handle_request() -> f64 {\n    compute_bound(3)\n}\n",
         ),
         (
-            "crates/core/src/curves.rs",
+            "crates/ldp/src/curves.rs",
             "pub fn compute_bound(x: u64) -> f64 {\n\
                  \x20   Some(x as f64).unwrap()\n}\n\
                  pub fn never_called() -> f64 {\n\
@@ -50,7 +60,7 @@ fn reachable_unwrap_in_unpoliced_zone_is_found() {
         1,
         "exactly the reachable unwrap must fire: {findings:?}"
     );
-    assert_eq!(panics[0].file, "crates/core/src/curves.rs");
+    assert_eq!(panics[0].file, "crates/ldp/src/curves.rs");
     assert_eq!(
         panics[0].span.line, 2,
         "the called fn's unwrap, not the sibling's"
@@ -63,33 +73,85 @@ fn reachable_unwrap_in_unpoliced_zone_is_found() {
 }
 
 #[test]
-fn waiver_does_not_cross_the_call_graph() {
-    // A waived unwrap is fine as a local invariant, but once a wire seed
-    // reaches the enclosing fn the waiver must be overridden.
+fn expectation_does_not_cross_the_call_graph() {
+    // An expected unwrap is fine as a local invariant in a panic-free
+    // crate, but once a wire seed reaches the governed fn the expectation
+    // must be overridden — fn-level and statement-level alike, while the
+    // unreached and the indexing expectations stay quiet.
     let findings = analyze(&[
+        SERVER_TOML,
+        (
+            "crates/core/Cargo.toml",
+            "[package]\nname = \"vr-core\"\n\n[lints.clippy]\nunwrap_used = \"deny\"\n",
+        ),
         (
             "crates/server/src/handler.rs",
-            "use vr_core::waived_helper;\n\
-                 pub fn serve() -> f64 {\n    waived_helper()\n}\n",
+            "use vr_core::{expected_helper, statement_helper};\n\
+                 pub fn serve() -> f64 {\n    expected_helper() + statement_helper()\n}\n",
         ),
         (
             "crates/core/src/accountant.rs",
-            "pub fn waived_helper() -> f64 {\n\
-                 \x20   // vr-lint: allow(unwrap-call) — fixture invariant\n\
+            "#[expect(clippy::unwrap_used, reason = \"fixture invariant\")]\n\
+                 pub fn expected_helper() -> f64 {\n\
+                 \x20   Some(1.0).unwrap()\n}\n\
+                 pub fn statement_helper() -> f64 {\n\
+                 \x20   #[expect(clippy::indexing_slicing, reason = \"bounded\")]\n\
+                 \x20   let x = [1.0][0];\n\
+                 \x20   #[expect(clippy::expect_used, reason = \"fixture invariant\")]\n\
+                 \x20   let y = Some(x).expect(\"set\");\n\
+                 \x20   y\n}\n#[expect(clippy::unwrap_used, reason = \"never reached\")]\n\
+                 pub fn unreached() -> f64 {\n\
                  \x20   Some(1.0).unwrap()\n}\n",
         ),
     ]);
-    let hit = findings
+    let hits: Vec<(u32, &str)> = findings
         .iter()
-        .find(|f| f.rule == "reachable-panic")
-        .expect("the waived site must resurface as a pass finding");
-    assert_eq!(hit.file, "crates/core/src/accountant.rs");
-    assert!(
-        hit.message
-            .contains("a waiver does not cross the call graph"),
-        "unexpected message: {}",
-        hit.message
+        .filter(|f| f.rule == "reachable-panic")
+        .map(|f| (f.span.line, f.file.as_str()))
+        .collect();
+    assert_eq!(
+        hits,
+        [
+            (1, "crates/core/src/accountant.rs"),
+            (8, "crates/core/src/accountant.rs")
+        ],
+        "the two reachable unwrap/expect expectations must resurface: {findings:?}"
     );
+    assert!(
+        findings[0]
+            .message
+            .contains("an expectation does not cross the call graph"),
+        "unexpected message: {}",
+        findings[0].message
+    );
+}
+
+#[test]
+fn crate_root_expectation_governs_every_file_of_its_package() {
+    // `#![expect(clippy::unwrap_used)]` atop `lib.rs` silences clippy for
+    // the whole crate, so a reachable fn in a sibling file is covered too.
+    let findings = analyze(&[
+        SERVER_TOML,
+        (
+            "crates/core/Cargo.toml",
+            "[package]\nname = \"vr-core\"\n\n[lints.clippy]\nunwrap_used = \"deny\"\n",
+        ),
+        (
+            "crates/core/src/lib.rs",
+            "#![expect(clippy::unwrap_used, reason = \"crate-wide\")]\npub mod helpers;\n",
+        ),
+        (
+            "crates/core/src/helpers.rs",
+            "pub fn helper() -> f64 {\n    Some(1.0).unwrap()\n}\n",
+        ),
+        (
+            "crates/server/src/handler.rs",
+            "use vr_core::helper;\npub fn serve() -> f64 {\n    helper()\n}\n",
+        ),
+    ]);
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].file, "crates/core/src/lib.rs");
+    assert!(findings[0].message.contains("covers `helper`"));
 }
 
 #[test]
@@ -163,7 +225,8 @@ fn unit(rel: &str, src: &str) -> FileUnit {
     FileUnit {
         rel: rel.to_string(),
         krate: crate_of(rel).to_string(),
-        zone: classify(rel).expect("fixture path in zone"),
+        package: String::new(),
+        panic_free: false,
         lexed,
         exempt,
     }

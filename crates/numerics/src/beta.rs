@@ -36,11 +36,10 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
         (0.0..=1.0).contains(&x),
         "reg_inc_beta requires x in [0,1], got {x}"
     );
-    // vr-lint: allow(float-eq) — exact endpoint: I_0 = 0 by definition
     if x == 0.0 {
         return 0.0;
     }
-    // vr-lint: allow(float-eq) — exact endpoint: I_1 = 1 by definition
+    #[expect(clippy::float_cmp, reason = "exact endpoint: I_1 = 1 by definition")]
     if x == 1.0 {
         return 1.0;
     }
@@ -206,11 +205,10 @@ pub fn reg_inc_beta_fast(a: f64, b: f64, x: f64) -> f64 {
         (0.0..=1.0).contains(&x),
         "reg_inc_beta_fast requires x in [0,1], got {x}"
     );
-    // vr-lint: allow(float-eq) — exact endpoint: I_0 = 0 by definition
     if x == 0.0 {
         return 0.0;
     }
-    // vr-lint: allow(float-eq) — exact endpoint: I_1 = 1 by definition
+    #[expect(clippy::float_cmp, reason = "exact endpoint: I_1 = 1 by definition")]
     if x == 1.0 {
         return 1.0;
     }
@@ -226,6 +224,10 @@ pub fn reg_inc_beta_fast(a: f64, b: f64, x: f64) -> f64 {
 /// exact path; only the per-node `ln_1p`/`exp` and the summation order (8
 /// partial lanes instead of one serial accumulator, so the reduction no
 /// longer blocks vectorization) differ.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "l < L and chunks_exact(L) yields exactly-L slices, so l bounds both the accumulator array and the chunk"
+)]
 fn beta_quadrature_fast(a: f64, b: f64, x: f64) -> f64 {
     use crate::vecmath::{exp_no_overflow, ln1p_small};
     let a1 = a - 1.0;
@@ -259,10 +261,8 @@ fn beta_quadrature_fast(a: f64, b: f64, x: f64) -> f64 {
     let mut lanes = [0.0f64; L];
     for (yc, wc) in ys.chunks_exact(L).zip(ws.chunks_exact(L)) {
         for l in 0..L {
-            // vr-lint: allow(slice-index) — l < L and chunks_exact(L) yields exactly-L slices
             let dt = dx + span * yc[l];
             let g = a1 * ln1p_small(dt * inv_mu) + b1 * ln1p_small(dt * ninv_om);
-            // vr-lint: allow(slice-index) — l < L bounds both the accumulator array and the chunk
             lanes[l] += wc[l] * exp_no_overflow(g);
         }
     }

@@ -204,11 +204,13 @@ impl Binomial {
         if k > self.n {
             return f64::NEG_INFINITY;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 0.0 is the point mass at 0
         if self.p == 0.0 {
             return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 1.0 is the point mass at n
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact degenerate distribution: p = 1.0 is the point mass at n"
+        )]
         if self.p == 1.0 {
             return if k == self.n { 0.0 } else { f64::NEG_INFINITY };
         }
@@ -244,11 +246,13 @@ impl Binomial {
         if k >= self.n {
             return 1.0;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 0.0 is the point mass at 0
         if self.p == 0.0 {
             return 1.0;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 1.0 is the point mass at n
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact degenerate distribution: p = 1.0 is the point mass at n"
+        )]
         if self.p == 1.0 {
             return 0.0; // k < n here.
         }
@@ -266,11 +270,13 @@ impl Binomial {
         if ku >= self.n {
             return 0.0;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 0.0 is the point mass at 0
         if self.p == 0.0 {
             return 0.0;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 1.0 is the point mass at n
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact degenerate distribution: p = 1.0 is the point mass at n"
+        )]
         if self.p == 1.0 {
             return 1.0;
         }
@@ -291,11 +297,13 @@ impl Binomial {
         if ku >= self.n {
             return 0.0;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 0.0 is the point mass at 0
         if self.p == 0.0 {
             return 0.0;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 1.0 is the point mass at n
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact degenerate distribution: p = 1.0 is the point mass at n"
+        )]
         if self.p == 1.0 {
             return 1.0;
         }
@@ -427,7 +435,10 @@ impl Binomial {
     /// multiplicative recurrence `pmf(k+1)/pmf(k) = ((n−k)/(k+1))·(p/(1−p))`
     /// anchored at the in-range mode (one `ln_pmf` evaluation), which is both
     /// fast and free of cumulative drift across the peak.
-    // vr-lint: allow-fn(slice-index) — every index is inside `w` (len = hi − lo + 1): the anchor is clamped to [lo, hi] and both recurrence walks stay within the asserted range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is inside `w` (len = hi − lo + 1): the anchor is clamped to [lo, hi] and both recurrence walks stay within the asserted range"
+    )]
     pub fn weights_in(&self, lo: u64, hi: u64) -> Vec<f64> {
         assert!(
             lo <= hi && hi <= self.n,
@@ -435,14 +446,16 @@ impl Binomial {
         );
         let len = (hi - lo + 1) as usize;
         let mut w = vec![0.0; len];
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 0.0 is the point mass at 0
         if self.p == 0.0 {
             if lo == 0 {
                 w[0] = 1.0;
             }
             return w;
         }
-        // vr-lint: allow(float-eq) — exact degenerate distribution: p = 1.0 is the point mass at n
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact degenerate distribution: p = 1.0 is the point mass at n"
+        )]
         if self.p == 1.0 {
             if hi == self.n {
                 w[len - 1] = 1.0;

@@ -7,7 +7,6 @@
 /// Bennett's `h(u) = (1+u)·ln(1+u) − u` for `u ≥ 0`.
 pub fn bennett_h(u: f64) -> f64 {
     assert!(u >= 0.0, "bennett_h requires u >= 0, got {u}");
-    // vr-lint: allow(float-eq) — exact boundary: h(0) = 0 without evaluating 0·ln(1)
     if u == 0.0 {
         return 0.0;
     }

@@ -9,7 +9,6 @@ use crate::gamma::{reg_inc_gamma_p, reg_inc_gamma_q};
 
 /// Error function `erf(x) = (2/√π) ∫₀ˣ e^{−t²} dt`.
 pub fn erf(x: f64) -> f64 {
-    // vr-lint: allow(float-eq) — exact origin guard: reg_inc_gamma requires x² > 0
     if x == 0.0 {
         return 0.0;
     }
@@ -24,7 +23,6 @@ pub fn erf(x: f64) -> f64 {
 /// Complementary error function `erfc(x) = 1 − erf(x)`, accurate in the far
 /// right tail where `1 − erf(x)` would underflow to cancellation noise.
 pub fn erfc(x: f64) -> f64 {
-    // vr-lint: allow(float-eq) — exact origin guard: reg_inc_gamma requires x² > 0
     if x == 0.0 {
         return 1.0;
     }

@@ -3,6 +3,10 @@
 /// Relative closeness test with absolute fallback near zero:
 /// `|a − b| ≤ tol · max(1, |a|, |b|)`.
 pub fn is_close(a: f64, b: f64, tol: f64) -> bool {
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact fast path: equal operands, equal infinities included, are close"
+    )]
     if a == b {
         return true;
     }
@@ -17,11 +21,9 @@ pub fn is_close_abs(a: f64, b: f64, tol: f64) -> bool {
 
 /// `log(exp(a) + exp(b))` without overflow.
 pub fn log_add_exp(a: f64, b: f64) -> f64 {
-    // vr-lint: allow(float-eq) — exact NEG_INFINITY sentinel: the log-space empty operand
     if a == f64::NEG_INFINITY {
         return b;
     }
-    // vr-lint: allow(float-eq) — exact NEG_INFINITY sentinel: the log-space empty operand
     if b == f64::NEG_INFINITY {
         return a;
     }
@@ -35,10 +37,13 @@ pub fn log_add_exp(a: f64, b: f64) -> f64 {
 /// Panics if `a < b` (the difference would be negative).
 pub fn log_sub_exp(a: f64, b: f64) -> f64 {
     assert!(a >= b, "log_sub_exp requires a >= b (a={a}, b={b})");
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact equality: exp(a) − exp(b) is then 0, whose log is the NEG_INFINITY sentinel"
+    )]
     if a == b {
         return f64::NEG_INFINITY;
     }
-    // vr-lint: allow(float-eq) — exact NEG_INFINITY sentinel: the log-space empty operand
     if b == f64::NEG_INFINITY {
         return a;
     }
@@ -48,7 +53,6 @@ pub fn log_sub_exp(a: f64, b: f64) -> f64 {
 /// Numerically stable `log(Σ exp(xs))`.
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
     let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    // vr-lint: allow(float-eq) — exact NEG_INFINITY sentinel: the log-space empty operand
     if max == f64::NEG_INFINITY {
         return f64::NEG_INFINITY;
     }

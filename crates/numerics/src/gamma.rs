@@ -10,7 +10,10 @@
 /// Lanczos coefficients for `g = 7`, 9 terms (published to more digits than
 /// f64 resolves; keep them verbatim for traceability).
 const LANCZOS_G: f64 = 7.0;
-#[allow(clippy::excessive_precision)]
+#[expect(
+    clippy::excessive_precision,
+    reason = "published Lanczos coefficients, kept verbatim for traceability"
+)]
 const LANCZOS_COEF: [f64; 9] = [
     0.999_999_999_999_809_93,
     676.520_368_121_885_1,
@@ -97,6 +100,10 @@ pub fn stirlerr(z: f64) -> f64 {
     const S3: f64 = 1.0 / 1680.0;
     const S4: f64 = 1.0 / 1188.0;
     if z < 16.0 {
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact integer test: whole z takes the exact ln_factorial route"
+        )]
         let direct = if z == z.floor() {
             ln_factorial(z as u64)
         } else {
@@ -129,6 +136,10 @@ pub fn bd0(x: f64, np: f64) -> f64 {
         loop {
             ej *= v2;
             let s1 = s + ej / (2.0 * j + 1.0);
+            #[expect(
+                clippy::float_cmp,
+                reason = "series converged: the next term no longer changes the f64 sum"
+            )]
             if s1 == s {
                 return s1;
             }
@@ -150,7 +161,6 @@ pub fn reg_inc_gamma_p(a: f64, x: f64) -> f64 {
         a > 0.0 && x >= 0.0,
         "reg_inc_gamma_p requires a > 0, x >= 0"
     );
-    // vr-lint: allow(float-eq) — exact boundary of the incomplete-gamma domain
     if x == 0.0 {
         return 0.0;
     }
@@ -167,7 +177,6 @@ pub fn reg_inc_gamma_q(a: f64, x: f64) -> f64 {
         a > 0.0 && x >= 0.0,
         "reg_inc_gamma_q requires a > 0, x >= 0"
     );
-    // vr-lint: allow(float-eq) — exact boundary of the incomplete-gamma domain
     if x == 0.0 {
         return 1.0;
     }

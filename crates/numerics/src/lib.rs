@@ -31,6 +31,10 @@
 //! higher crates can treat these as a verified calculator.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "unit tests pin exact values bit for bit")
+)]
 #![warn(missing_docs)]
 
 pub mod beta;

@@ -27,7 +27,6 @@ pub fn histogram_distribution(per_user: &[Vec<f64>]) -> HashMap<Vec<u16>, f64> {
         let mut next: HashMap<Vec<u16>, f64> = HashMap::with_capacity(states.len() * 2);
         for (hist, prob) in &states {
             for (class, &p) in row.iter().enumerate() {
-                // vr-lint: allow(float-eq) — exact zero-probability skip keeps the state space sparse
                 if p == 0.0 {
                     continue;
                 }

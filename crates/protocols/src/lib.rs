@@ -17,6 +17,10 @@
 //! * [`accuracy`] — error metrics for utility experiments.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "unit tests pin exact values bit for bit")
+)]
 #![warn(missing_docs)]
 
 pub mod accuracy;

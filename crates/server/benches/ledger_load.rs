@@ -30,6 +30,13 @@
 //! Set `VR_BENCH_SMOKE=1` for the CI configuration: a reduced population
 //! and mix, same asserted contracts (none of them are machine-sensitive —
 //! the bit-identity claim is exact at any scale).
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::cast_precision_loss,
+    reason = "load-generator harness: a panic is a failed assertion, and counts convert to f64 only for reporting"
+)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -31,6 +31,13 @@
 //! connections and repetitions, and the machine-sensitive throughput
 //! assertions are reported but not enforced (the bit-exactness and
 //! zero-busy contracts still are).
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::cast_precision_loss,
+    reason = "load-generator harness: a panic is a failed assertion, and counts convert to f64 only for reporting"
+)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

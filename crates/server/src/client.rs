@@ -170,9 +170,12 @@ impl Client {
         Ok(reply)
     }
 
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "session-local id counter stays far below 2⁵³, so u64 → f64 is exact"
+    )]
     fn fresh_id(&mut self) -> Json {
         self.next_id += 1;
-        // vr-lint: allow(narrowing-cast) — session-local id counter stays far below 2⁵³, so u64 → f64 is exact
         Json::Num(self.next_id as f64)
     }
 

@@ -101,15 +101,18 @@ impl Json {
     /// The value as an exact unsigned integer (a JSON number with no
     /// fractional part strictly inside `u64`'s exactly-representable
     /// range).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "guarded: only a non-negative integer < 2^53 is cast, and it converts exactly"
+    )]
     pub fn as_u64(&self) -> Option<u64> {
         let x = self.as_f64()?;
         // Strictly below 2^53: at and beyond it, f64 cannot represent every
         // integer, so a literal like 2^53 + 1 would have silently rounded
         // to exactly 2^53 during parsing — reject rather than serve a
         // different count than the one requested.
-        // vr-lint: allow(float-eq) — `fract() == 0.0` is the exact-integer test this accessor is defined by
         if x.fract() == 0.0 && (0.0..9_007_199_254_740_992.0).contains(&x) {
-            // vr-lint: allow(narrowing-cast) — guarded above: non-negative integer < 2^53 converts exactly
             Some(x as u64)
         } else {
             None
@@ -205,7 +208,6 @@ impl fmt::Display for Json {
 fn write_num(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
-        // vr-lint: allow(float-eq) — exact-integer test selecting the `{x:.0}` print form
     } else if x.fract() == 0.0 && x.abs() <= 9_007_199_254_740_992.0 {
         out.push_str(&format!("{x:.0}"));
     } else {
@@ -224,7 +226,6 @@ fn write_str(s: &str, out: &mut String) {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
-            // vr-lint: allow(narrowing-cast) — char → u32 code point is lossless by definition
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }

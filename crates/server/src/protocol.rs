@@ -813,8 +813,11 @@ fn push_ledger_fields(members: &mut Vec<(String, Json)>, op: &LedgerOp) {
 /// so the conversion is exact for every value the daemon round-trips; an
 /// in-process count beyond 2⁵³ rounds to the nearest representable f64
 /// instead of panicking.
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "u64 → f64 count: exact below 2⁵³ (the wire range), rounds above"
+)]
 fn json_count(x: u64) -> Json {
-    // vr-lint: allow(narrowing-cast) — u64 → f64 count: exact below 2⁵³ (the wire range), rounds above
     Json::Num(x as f64)
 }
 
