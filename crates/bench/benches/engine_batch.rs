@@ -1,6 +1,6 @@
-//! Warm-vs-cold batch serving benchmark for the query engine (the ISSUE-3
-//! tentpole): 64 `ε(δ)` queries on one workload (`ε₀ = 1`, `n = 10⁶`,
-//! log-spaced δ ∈ [1e-10, 1e-4]), comparing
+//! Warm-vs-cold batch serving benchmark for the query engine: 64 `ε(δ)`
+//! queries on one workload (`ε₀ = 1`, `n = 10⁶`, log-spaced
+//! δ ∈ [1e-10, 1e-4]), comparing
 //!
 //! 1. the **cold one-shot path** — a fresh `Accountant::epsilon_default`
 //!    per query, the pre-engine behaviour of every call site: each call
@@ -8,7 +8,8 @@
 //!    bisection of Algorithm 1;
 //! 2. the **warm engine batch** — `AnalysisEngine::run_batch` against a
 //!    pre-warmed evaluator cache: one memoized table shared by every query,
-//!    each served by the amortized ε-search (certified fast-scan decisions,
+//!    each served by the bracket-pruned ε-search (a certified bracket from
+//!    a few fast scans, out-of-bracket decisions replayed without a scan,
 //!    incremental exact-scan endgame).
 //!
 //! Besides the criterion timings, the harness prints a speedup summary and

@@ -58,8 +58,11 @@ proptest! {
         let delta = 10f64.powi(-(delta_exp as i32));
         let e_legacy = acc.epsilon(delta, SearchOptions::default()).unwrap();
         let e_engine = bound.epsilon(delta).unwrap();
-        prop_assert!(
-            (e_engine - e_legacy).abs() <= 1e-12,
+        // Bit equality, not a tolerance: one flipped late bisection
+        // decision moves ε by only ~ln p·2⁻⁴⁰ ≈ 1e-12.
+        prop_assert_eq!(
+            e_engine.to_bits(),
+            e_legacy.to_bits(),
             "epsilon mismatch: engine {e_engine} vs legacy {e_legacy}"
         );
     }
