@@ -17,7 +17,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use vr_bench::trajectory::BenchReport;
 use vr_core::accountant::{Accountant, NumericalBound, ScanMode};
 use vr_core::{PrivacyCurve, VariationRatio};
 
@@ -89,21 +88,6 @@ fn speedup_report(c: &mut Criterion) {
         t_naive / t_par,
         vr_numerics::par::default_threads(),
     );
-
-    // Perf trajectory artifact (results/BENCH_curve_sampling.json).
-    let mut report = BenchReport::new("curve_sampling");
-    report
-        .metric("points", POINTS as f64)
-        .metric("population_n", N as f64)
-        .metric("eps_max", EPS_MAX)
-        .metric("naive_secs", t_naive)
-        .metric("memoized_secs", t_seq)
-        .metric("parallel_secs", t_par)
-        .metric("speedup_memoized", t_naive / t_seq)
-        .metric("speedup_parallel", t_naive / t_par)
-        .metric("threads", vr_numerics::par::default_threads() as f64)
-        .metric("max_abs_err", worst);
-    report.emit();
 
     // Criterion entries for the two engine paths (the naive path is timed
     // once above — at ~seconds per iteration it would blow the bench budget).

@@ -100,18 +100,6 @@ fn batch_speedup(c: &mut Criterion) {
         "acceptance: warm batch must be >= 5x faster than cold one-shots, got {speedup:.2}x"
     );
 
-    // Perf trajectory artifact (results/BENCH_engine_batch.json).
-    let mut report = vr_bench::trajectory::BenchReport::new("engine_batch");
-    report
-        .metric("queries", QUERIES as f64)
-        .metric("population_n", N as f64)
-        .metric("cold_secs", t_cold)
-        .metric("warm_secs", t_warm)
-        .metric("speedup", speedup)
-        .metric("max_abs_err", worst)
-        .metric("cached_evaluators", engine.cached_evaluators() as f64);
-    report.emit();
-
     // Criterion entries: per-query costs of the two serving paths (the full
     // batches are timed once above — at seconds per iteration they would
     // blow the bench budget).

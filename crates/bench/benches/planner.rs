@@ -96,8 +96,7 @@ fn planner_speedup(c: &mut Criterion) {
          got {speedup:.2}x"
     );
 
-    // Perf trajectory artifact (results/BENCH_planner.json).
-    // Probe-path accounting (ISSUE 7): where the cold search's time went —
+    // Probe-path accounting: where the cold search's time went —
     // how many evaluator tables the trajectory built, what they cost in
     // wall time, and how many builds consumed a warm-start window hint
     // from the previously probed candidate.
@@ -115,22 +114,6 @@ fn planner_speedup(c: &mut Criterion) {
         "the min-n trajectory probes adjacent candidates; warm-start hints \
          must land on some of them"
     );
-
-    let mut report = vr_bench::trajectory::BenchReport::new("planner");
-    report
-        .metric("eps", EPS)
-        .metric("delta", DELTA)
-        .metric("naive_secs", t_naive)
-        .metric("warm_secs", t_warm)
-        .metric("speedup", speedup)
-        .metric("min_n", min_n as f64)
-        .metric("probes", cert.evaluations as f64)
-        .metric("cache_hits", cert.cache_hits as f64)
-        .metric("evaluator_builds", build.tables_built as f64)
-        .metric("warm_started_builds", build.hinted_builds as f64)
-        .metric("support_probes", build.support_probes as f64)
-        .metric("table_build_ms", build.build_nanos as f64 / 1e6);
-    report.emit();
 
     // Criterion entries: per-search costs of the two inverse paths.
     let mut g = c.benchmark_group("planner");

@@ -20,15 +20,13 @@
 //! warm path spends strictly fewer support probes *and* strictly less
 //! table-build wall time (min over repetitions), with identical answers.
 //!
-//! Headline numbers land in `results/BENCH_scan_kernel.json` via
-//! [`vr_bench::trajectory::BenchReport`]. Set `VR_BENCH_SMOKE=1` for the CI
+//! Headline numbers are printed to stdout. Set `VR_BENCH_SMOKE=1` for the CI
 //! configuration: reduced n, machine-sensitive speedup asserts reported but
 //! not enforced, bit-exactness and probe-count contracts still enforced.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use vr_bench::trajectory::BenchReport;
 use vr_core::accountant::{Accountant, DeltaEvaluator, ScanMode};
 use vr_core::engine::{AmplificationQuery, AnalysisEngine};
 use vr_core::VariationRatio;
@@ -263,7 +261,6 @@ fn scan_kernel(c: &mut Criterion) {
     let grid_points = if smoke { 8 } else { 16 };
     let reps = if smoke { 2 } else { 5 };
 
-    let mut report = BenchReport::new("scan_kernel");
     let mut speedup_at_1m = f64::NAN;
 
     for &n in ns {
@@ -321,10 +318,6 @@ fn scan_kernel(c: &mut Criterion) {
             per_scan_seed * 1e6,
             per_scan_new * 1e6
         );
-        report
-            .metric(&format!("seed_fast_micros_n{n}"), per_scan_seed * 1e6)
-            .metric(&format!("staged_fast_micros_n{n}"), per_scan_new * 1e6)
-            .metric(&format!("speedup_n{n}"), speedup);
         if n == 1_000_000 {
             speedup_at_1m = speedup;
         }
@@ -402,21 +395,6 @@ fn scan_kernel(c: &mut Criterion) {
              ({warm_build} ns vs {cold_build} ns)"
         );
     }
-    report
-        .metric("probe_tables_built", cold_stats.tables_built as f64)
-        .metric(
-            "probe_cold_support_probes",
-            cold_stats.support_probes as f64,
-        )
-        .metric(
-            "probe_warm_support_probes",
-            warm_stats.support_probes as f64,
-        )
-        .metric("probe_warm_hinted_builds", warm_stats.hinted_builds as f64)
-        .metric("probe_cold_build_ms", cold_build as f64 / 1e6)
-        .metric("probe_warm_build_ms", warm_build as f64 / 1e6);
-    report.emit();
-
     // Criterion entries on the serving-size kernel.
     let crit_n = if smoke { 20_000 } else { 1_000_000 };
     let acc = Accountant::new(vr, crit_n).unwrap();

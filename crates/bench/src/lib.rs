@@ -6,10 +6,6 @@
 //! mirrors them to CSV under `results/`. The experiment drivers live in
 //! [`figures`] and [`tables`] so the integration tests can assert the
 //! paper's qualitative claims programmatically.
-//!
-//! The Criterion-style bench harnesses additionally record their headline
-//! numbers as `results/BENCH_<name>.json` through [`trajectory`], leaving
-//! a machine-readable perf trail across commits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,4 +13,3 @@
 pub mod figures;
 pub mod output;
 pub mod tables;
-pub mod trajectory;

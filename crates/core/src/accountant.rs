@@ -197,8 +197,8 @@ impl Accountant {
     /// the requested scan mode. By the symmetry of the dominating pair this
     /// simultaneously bounds both divergence directions. Rejects negative or
     /// NaN `eps` with [`Error::InvalidParameter`]; there is deliberately no
-    /// panicking twin — every caller sits on a wire-reachable path, and the
-    /// panic-reach lint pass treats "documented `# Panics`" as an outage.
+    /// panicking twin — every caller sits on a wire-reachable path, where
+    /// the crate's manifest `forbid`s the panic lints outright.
     ///
     /// One-shot path: builds the outer table per call. Amortize repeated
     /// queries with a [`DeltaEvaluator`] (bit-identical results).

@@ -70,7 +70,7 @@ pub mod planner;
 pub mod spend;
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use planner::{PlanCertificate, SweepAxis, DEFAULT_N_HI_HINT, MAX_PLANNER_POPULATION};
@@ -89,6 +89,7 @@ use crate::curve::PrivacyCurve;
 use crate::error::{Error, Result};
 use crate::params::VariationRatio;
 use crate::renyi::RenyiBound;
+use crate::sync::{Mutex, RwLock};
 
 /// What a query asks for (the mapping to paper theorems is in the
 /// [module docs](self)).
@@ -727,7 +728,9 @@ pub struct AnalysisEngine {
     /// One slot per workload; the slot's [`OnceLock`] makes the expensive
     /// table build happen exactly once even when a cold batch floods the
     /// same key from many worker threads (late arrivals block on the
-    /// builder instead of duplicating its work).
+    /// builder instead of duplicating its work). Slots are only ever
+    /// inserted empty, initialized once or removed whole, so a panic under
+    /// its guard leaves the map consistent ([`crate::sync`] recovers).
     cache: RwLock<HashMap<EvaluatorKey, Arc<CacheSlot>>>,
     /// Approximate total outer-table entries across the cached evaluators —
     /// the memory-pressure signal behind the eviction thresholds (an
@@ -819,9 +822,6 @@ impl CacheUse {
     }
 }
 
-/// The engine's evaluator-cache map type (see [`AnalysisEngine::cache`]).
-type EvaluatorCache = HashMap<EvaluatorKey, Arc<CacheSlot>>;
-
 /// The pieces `execute` assembles into an [`AnalysisReport`]: value, winning
 /// bound name, validity, all-warm flag, planner certificate.
 type PlanValueParts = (QueryValue, String, Validity, bool, Option<PlanCertificate>);
@@ -832,27 +832,11 @@ impl AnalysisEngine {
         Self::default()
     }
 
-    /// Read access to the cache, recovering from lock poisoning: the cached
-    /// evaluators are immutable once built ([`OnceLock`] slots are only ever
-    /// initialized, never mutated), so a thread that panicked while holding
-    /// the guard cannot have left the map in a torn state — taking the guard
-    /// from the [`PoisonError`] is sound and keeps one bad query from
-    /// bricking the engine for every later one.
-    fn cache_read(&self) -> RwLockReadGuard<'_, EvaluatorCache> {
-        self.cache.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Write access to the cache, recovering from lock poisoning (see
-    /// [`AnalysisEngine::cache_read`]; writers only insert empty slots or
-    /// clear the map, both atomic with respect to the map's invariants).
-    fn cache_write(&self) -> RwLockWriteGuard<'_, EvaluatorCache> {
-        self.cache.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Number of distinct `(params, n, ScanMode)` workloads currently
     /// memoized (in-flight builds are not counted until they finish).
     pub fn cached_evaluators(&self) -> usize {
-        self.cache_read()
+        self.cache
+            .read()
             .values()
             .filter(|slot| slot.cell.get().is_some())
             .count()
@@ -862,31 +846,24 @@ impl AnalysisEngine {
     /// memory in a quiescent service). The automatic bound enforcement
     /// uses the gentler second-chance `enforce_bounds` sweep instead.
     pub fn clear_cache(&self) {
-        let mut cache = self.cache_write();
+        let mut cache = self.cache.write();
         cache.clear();
         self.cached_entries
             .store(0, std::sync::atomic::Ordering::Relaxed);
         drop(cache);
-        self.spends
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.spends.write().clear();
     }
 
     /// Number of distinct `(params, n)` workloads whose per-round Rényi
     /// spend vector is currently memoized (see [`spend`]); in-flight
     /// builds are not counted until they finish.
     pub fn cached_spends(&self) -> usize {
-        self.spends
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|slot| {
-                slot.built
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_some()
-            })
+        // Snapshot the slots, then drop the map guard: slot locks are
+        // leaves too, never taken under the map's.
+        let slots: Vec<Arc<SpendSlot>> = self.spends.read().values().cloned().collect();
+        slots
+            .iter()
+            .filter(|slot| slot.built.lock().is_some())
             .count()
     }
 
@@ -903,13 +880,13 @@ impl AnalysisEngine {
     ) -> Result<(Arc<spend::RoundSpend>, bool)> {
         let key = spend::SpendKey::new(&vr, n);
         let slot = {
-            let spends = self.spends.read().unwrap_or_else(PoisonError::into_inner);
+            let spends = self.spends.read();
             spends.get(&key).map(Arc::clone)
         };
         let slot = match slot {
             Some(slot) => slot,
             None => {
-                let mut spends = self.spends.write().unwrap_or_else(PoisonError::into_inner);
+                let mut spends = self.spends.write();
                 // Spend vectors are tiny (one f64 per Rényi order), but a
                 // daemon fed adversarial workloads must still stay bounded:
                 // past the cap, start over — spends rebuild on demand,
@@ -925,7 +902,7 @@ impl AnalysisEngine {
         // duplicating the work. A build error leaves the slot empty, so a
         // later (possibly corrected) caller retries rather than caching
         // the failure.
-        let mut built = slot.built.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut built = slot.built.lock();
         if let Some(s) = &*built {
             return Ok((Arc::clone(s), true));
         }
@@ -947,7 +924,7 @@ impl AnalysisEngine {
     /// about to initialize it.
     fn enforce_bounds(&self) {
         use std::sync::atomic::Ordering;
-        let mut cache = self.cache_write();
+        let mut cache = self.cache.write();
         cache.retain(|_, slot| match slot.cell.get() {
             None => true,
             Some(_) => slot.hits.swap(0, Ordering::Relaxed) > 0,
@@ -989,13 +966,13 @@ impl AnalysisEngine {
         let two_r = vr.clone_probability();
         let acc = Accountant::new(vr, n)?; // validate before touching the cache
         let slot = {
-            let cache = self.cache_read();
+            let cache = self.cache.read();
             cache.get(&key).map(Arc::clone)
         };
         let slot = match slot {
             Some(slot) => slot,
             None => {
-                let mut cache = self.cache_write();
+                let mut cache = self.cache.write();
                 Arc::clone(cache.entry(key).or_default())
             }
         };
@@ -1043,7 +1020,7 @@ impl AnalysisEngine {
             // Bound the cache for long-lived serving processes (see
             // [`MAX_CACHED_EVALUATORS`]); the just-built evaluator stays
             // valid through the Arc we are about to return.
-            if entries > MAX_CACHED_TABLE_ENTRIES || self.cache_read().len() > MAX_CACHED_EVALUATORS
+            if entries > MAX_CACHED_TABLE_ENTRIES || self.cache.read().len() > MAX_CACHED_EVALUATORS
             {
                 self.enforce_bounds();
             }
@@ -1069,11 +1046,7 @@ impl AnalysisEngine {
         {
             return None;
         }
-        let (n_prev, (lo, hi)) = *self
-            .support_hints
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(wkey)?;
+        let (n_prev, (lo, hi)) = *self.support_hints.read().get(wkey)?;
         if n_prev == n {
             return Some((lo, hi));
         }
@@ -1092,10 +1065,7 @@ impl AnalysisEngine {
 
     /// Record a cold build's support window for the workload's next build.
     fn store_support_hint(&self, wkey: WorkloadKey, n: u64, window: (u64, u64)) {
-        let mut hints = self
-            .support_hints
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut hints = self.support_hints.write();
         if hints.len() >= MAX_SUPPORT_HINTS && !hints.contains_key(&wkey) {
             hints.clear();
         }
@@ -1632,7 +1602,7 @@ mod tests {
     #[test]
     fn caught_panic_does_not_brick_the_engine() {
         // A query thread that panics while holding the cache lock poisons
-        // it; the engine must recover (take the guard from the PoisonError)
+        // it; the leaf lock must recover (hand out the guard anyway)
         // instead of propagating the poison to every later query.
         let engine = AnalysisEngine::new();
         let q = AmplificationQuery::ldp_worst_case(1.0)
@@ -1649,10 +1619,10 @@ mod tests {
         for write in [true, false] {
             let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if write {
-                    let _guard = engine.cache.write().unwrap_or_else(|e| e.into_inner());
+                    let _guard = engine.cache.write();
                     panic!("worker dies while holding the cache write lock");
                 } else {
-                    let _guard = engine.cache.read().unwrap_or_else(|e| e.into_inner());
+                    let _guard = engine.cache.read();
                     panic!("worker dies while holding the cache read lock");
                 }
             }));

@@ -13,9 +13,9 @@ pub enum Error {
     /// The requested `(ε, δ)` point is unachievable, e.g. `δ` is below the
     /// irreducible failure mass of a multi-message protocol with `p = ∞`.
     Unachievable(String),
-    /// An internal invariant broke. The panic-freedom contract (enforced
-    /// by `vr-lint`) forbids `unreachable!`-style aborts in result-serving
-    /// paths, so "cannot happen" states surface as this error instead of
+    /// An internal invariant broke. The panic-freedom contract (the
+    /// manifest `forbid`s `clippy::unreachable` and its siblings) rules out
+    /// `unreachable!`-style aborts in result-serving paths, so "cannot happen" states surface as this error instead of
     /// taking down a worker; seeing one is always a bug worth reporting.
     Internal(String),
 }

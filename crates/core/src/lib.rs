@@ -40,6 +40,7 @@
 //! | δ(ε) privacy profiles (parallel sampling) | [`curve`] |
 //! | unified bound engine (trait, `BestOf`, registry) | [`bound`] |
 //! | query layer + serving cache + batches | [`engine`] |
+//! | leaf locks shared by the engine, ledger and daemon | [`sync`] |
 //!
 //! The [`bound`] engine is the crate's single seam over every analysis: each
 //! upper/lower bound above implements [`bound::AmplificationBound`], so curve
@@ -75,6 +76,7 @@ pub mod multimessage;
 pub mod parallel;
 pub mod params;
 pub mod renyi;
+pub mod sync;
 
 pub use accountant::{Accountant, DeltaEvaluator, NumericalBound, ScanMode, SearchOptions};
 pub use bound::{AmplificationBound, BestOf, BoundKind, BoundRegistry, Validity};

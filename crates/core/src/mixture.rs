@@ -131,6 +131,9 @@ impl DominatingPair {
     }
 
     /// Draw one sample of `P^q_{p,β}` (pass `flip = true` for `Q^q_{p,β}`).
+    /// Test-only: it checks the pmfs by simulation, and keeping it out of
+    /// shipped builds keeps `rand` off every non-test code path.
+    #[cfg(test)]
     pub fn sample<R: rand::Rng>(&self, rng: &mut R, flip: bool) -> (u64, u64) {
         let two_r = self.vr.clone_probability().min(1.0);
         let mut c = 0u64;

@@ -61,13 +61,13 @@
 pub mod csv;
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError, RwLock};
 
 use vr_core::engine::{
     affordable_rounds, composed_epsilon_over, Affordability, AnalysisEngine, RoundSpend, SpendKey,
 };
 use vr_core::error::{Error, Result};
 use vr_core::params::VariationRatio;
+use vr_core::sync::{Mutex, RwLock};
 
 use std::sync::Arc;
 
@@ -227,7 +227,7 @@ impl BudgetLedger {
     pub fn users(&self) -> u64 {
         let mut total: u64 = 0;
         for stripe in self.shards.iter() {
-            let guard = stripe.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = stripe.lock();
             total = total.saturating_add(u64::try_from(guard.len()).unwrap_or(u64::MAX));
         }
         total
@@ -235,7 +235,7 @@ impl BudgetLedger {
 
     /// Distinct workloads priced so far.
     pub fn workloads(&self) -> u64 {
-        let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
+        let table = self.table.read();
         u64::try_from(table.priced.len()).unwrap_or(u64::MAX)
     }
 
@@ -245,7 +245,7 @@ impl BudgetLedger {
     fn workload_id(&self, engine: &AnalysisEngine, vr: VariationRatio, n: u64) -> Result<u32> {
         let key = SpendKey::new(&vr, n);
         {
-            let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
+            let table = self.table.read();
             if let Some(&id) = table.ids.get(&key) {
                 return Ok(id);
             }
@@ -253,7 +253,7 @@ impl BudgetLedger {
         // Price outside any ledger lock: the grid evaluation is the
         // expensive part and must not serialize unrelated charges.
         let (spend, _) = engine.round_spend(vr, n)?;
-        let mut table = self.table.write().unwrap_or_else(PoisonError::into_inner);
+        let mut table = self.table.write();
         if let Some(&id) = table.ids.get(&key) {
             return Ok(id); // another charge interned it meanwhile
         }
@@ -271,7 +271,7 @@ impl BudgetLedger {
 
     /// Snapshot the priced workloads referenced by `terms`.
     fn resolve_terms(&self, terms: &[(u32, u32)]) -> Result<Vec<(Arc<RoundSpend>, u32)>> {
-        let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
+        let table = self.table.read();
         terms
             .iter()
             .map(|&(id, rounds)| {
@@ -321,10 +321,7 @@ impl BudgetLedger {
             ));
         }
         let id = self.workload_id(engine, vr, n)?;
-        let mut guard = self
-            .shard_of(user)?
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.shard_of(user)?.lock();
         let entry = guard.entry(user).or_default();
         let workload_rounds = match entry.iter_mut().find(|(tid, _)| *tid == id) {
             Some((_, existing)) => {
@@ -467,10 +464,7 @@ impl BudgetLedger {
 
     /// Snapshot a user's `(workload id, rounds)` terms (empty if absent).
     fn entry_snapshot(&self, user: u64) -> Result<Entry> {
-        let guard = self
-            .shard_of(user)?
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let guard = self.shard_of(user)?.lock();
         Ok(guard.get(&user).cloned().unwrap_or_default())
     }
 
@@ -483,7 +477,7 @@ impl BudgetLedger {
         for &user in users {
             let terms = self.entry_snapshot(user)?;
             let resolved = {
-                let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
+                let table = self.table.read();
                 terms
                     .iter()
                     .map(|&(id, rounds)| {

@@ -37,7 +37,7 @@ use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,6 +47,7 @@ use crate::protocol::{
     Request, StatsSnapshot, WireError,
 };
 use vr_core::engine::{AmplificationQuery, AnalysisEngine};
+use vr_core::sync::Mutex;
 use vr_ledger::BudgetLedger;
 
 /// Longest request line accepted, in bytes (64 KiB — a curve query is a few
@@ -164,13 +165,6 @@ struct Inner {
     started: Instant,
 }
 
-/// Take a mutex guard, recovering from poisoning — the daemon's shared
-/// structures (shard inboxes) stay consistent across a panicking thread
-/// because every critical section is a small push/drain.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Inner {
     /// Record the terminal outcome of one request frame.
     fn record_outcome(&self, outcome: &Result<ReplyBody, WireError>) {
@@ -269,7 +263,7 @@ impl Inner {
         for shard in &self.shards {
             // Lock before notifying so a shard between its park check and
             // its wait cannot miss the wake-up.
-            drop(lock(&shard.inbox));
+            drop(shard.inbox.lock());
             shard.wake.notify_all();
         }
         // Unblock the accept() call; errors are fine (listener may already
@@ -380,7 +374,7 @@ impl Server {
         // Close any socket the accept loop managed to push into an inbox
         // after its shard had already drained and exited (shutdown race).
         for shard in &self.inner.shards {
-            for stream in lock(&shard.inbox).drain(..) {
+            for stream in shard.inbox.lock().drain(..) {
                 let _ = stream.shutdown(Shutdown::Both);
                 self.inner.stats.open.fetch_sub(1, Ordering::Relaxed);
             }
@@ -424,7 +418,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
             continue;
         };
         next_shard = next_shard.wrapping_add(1);
-        lock(&shard.inbox).push(stream);
+        shard.inbox.lock().push(stream);
         shard.wake.notify_one();
         // A connection pushed after a shard's final drain is picked up by
         // `join_mut`; the flag re-check here just stops accepting sooner.
@@ -535,12 +529,9 @@ fn shard_loop(inner: &Arc<Inner>, index: usize) {
     loop {
         // Adopt fresh connections; park while the shard owns nothing.
         {
-            let mut inbox = lock(&shard.inbox);
+            let mut inbox = shard.inbox.lock();
             while conns.is_empty() && inbox.is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
-                inbox = shard
-                    .wake
-                    .wait(inbox)
-                    .unwrap_or_else(PoisonError::into_inner);
+                inbox = inbox.wait(&shard.wake);
             }
             if !inbox.is_empty() {
                 conns.extend(inbox.drain(..).map(Conn::new));
@@ -586,7 +577,7 @@ fn shard_loop(inner: &Arc<Inner>, index: usize) {
 /// Final pass of a shutting-down shard: adopt any last inbox arrivals,
 /// give every connection a bounded chance to drain its replies, and close.
 fn drain_shard(inner: &Inner, shard: &Shard, mut conns: Vec<Conn>) {
-    conns.extend(lock(&shard.inbox).drain(..).map(Conn::new));
+    conns.extend(shard.inbox.lock().drain(..).map(Conn::new));
     let deadline = Instant::now() + DRAIN_FLUSH_DEADLINE;
     for mut conn in conns {
         conn.flush_until(deadline);

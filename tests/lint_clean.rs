@@ -1,22 +1,38 @@
 //! The workspace-wide lint gates: clippy with the per-crate policy tables
-//! must come back clean under `-D warnings`, the `vr-lint` graph passes
-//! must find nothing, and the JSON artifact must parse with the house
-//! parser. This is the test-suite form of the CI lint jobs, so the
-//! contracts cannot rot even on machines that only ever run `cargo test`.
+//! must come back clean under `-D warnings`, and every crate the daemon
+//! links must forbid the panic lints in its manifest. This is the
+//! test-suite form of the CI lint job, so the contracts cannot rot even on
+//! machines that only ever run `cargo test`.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use vr_lint::report::RunReport;
-use vr_server::Json;
+/// The panic lints every crate on the wire path must `forbid`: with a
+/// manifest `forbid`, an `#[expect(clippy::unwrap_used)]` in shipped code is
+/// a compile error (E0453), so no reasoned exception can open a panic path
+/// under a request. Test code stays exempt through `clippy.toml`.
+const PANIC_LINTS: [&str; 6] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+];
+
+/// Normal dependencies of `vr-server` that may skip [`PANIC_LINTS`], each
+/// with the reason it is not on a panic path.
+const NOT_ON_THE_WIRE: [(&str, &str); 1] = [(
+    "rand",
+    "the compat sampler is referenced only by #[cfg(test)] code in vr-core; it stays a normal \
+     dependency because perfbench/Cargo.lock pins the vr-core → rand edge, and moves to \
+     [dev-dependencies] with the next change to the benchmark",
+)];
 
 fn workspace_root() -> PathBuf {
     // The root package's manifest dir *is* the workspace root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn lint_tree() -> (RunReport, std::collections::BTreeMap<String, String>) {
-    vr_lint::lint_workspace(&workspace_root()).expect("lint run must not hit I/O or lex errors")
 }
 
 #[test]
@@ -39,64 +55,84 @@ fn workspace_is_clippy_clean() {
     );
 }
 
-#[test]
-fn workspace_is_lint_clean() {
-    let (report, sources) = lint_tree();
-    // Sanity: the walk saw the real tree, not an empty directory.
+/// `name → manifest dir` for every crate in `vr-server`'s normal-dependency
+/// closure (itself included), as cargo resolves it.
+fn wire_closure() -> BTreeMap<String, PathBuf> {
+    let out = Command::new(env!("CARGO"))
+        .args(["tree", "--offline", "-p", "vr-server", "-e", "normal"])
+        .args(["--prefix", "none"])
+        .current_dir(workspace_root())
+        .output()
+        .expect("cargo tree must launch");
     assert!(
-        report.files.len() > 20,
-        "suspiciously few files scanned ({}) — did the walk break?",
-        report.files.len()
+        out.status.success(),
+        "cargo tree failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        report.graph_stats.wire_seeds > 0,
-        "panic-reach found no vr-server entry points — did the manifest read break?"
-    );
-    assert_eq!(
-        report.panic_free_crates,
-        ["vr-core", "vr-ledger", "vr-numerics", "vr-server"],
-        "the panic-free zone is the crates whose manifest denies clippy::unwrap_used"
-    );
-    assert!(
-        report.graph.is_empty(),
-        "graph-pass findings cannot be suppressed; fix the code:\n{}",
-        report.render_diagnostics(&sources)
-    );
+    // Lines read `name vX.Y.Z (/path/to/crate)`, repeats suffixed `(*)`.
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| {
+            let name = line.split_whitespace().next().unwrap_or_default();
+            let dir = line
+                .split_once('(')
+                .and_then(|(_, rest)| rest.split_once(')'))
+                .map(|(dir, _)| PathBuf::from(dir))
+                .unwrap_or_else(|| panic!("`{line}`: not a path dependency, cannot be audited"));
+            (name.to_owned(), dir)
+        })
+        .collect()
+}
+
+/// The `[lints.clippy]` table of the manifest in `dir`, as `lint → level`.
+fn clippy_levels(dir: &Path) -> BTreeMap<String, String> {
+    let manifest = dir.join("Cargo.toml");
+    let text = std::fs::read_to_string(&manifest)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", manifest.display()));
+    let mut in_table = false;
+    let mut levels = BTreeMap::new();
+    for line in text.lines().map(str::trim).filter(|l| !l.starts_with('#')) {
+        if line.starts_with('[') {
+            in_table = line == "[lints.clippy]";
+        } else if let (true, Some((lint, level))) = (in_table, line.split_once('=')) {
+            levels.insert(
+                lint.trim().to_owned(),
+                level.trim().trim_matches('"').to_owned(),
+            );
+        }
+    }
+    levels
 }
 
 #[test]
-fn report_artifact_parses_with_the_house_parser() {
-    let (report, _) = lint_tree();
-    let doc = Json::parse(&report.to_json()).expect("LINT_report.json output must be valid JSON");
-    assert_eq!(doc.get("tool").and_then(Json::as_str), Some("vr-lint"));
-    assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(2));
-    // Graph stats plus a per-pass finding count, all zero on a clean tree.
-    let graph = doc.get("call_graph").expect("call_graph section");
-    assert!(graph.get("functions").and_then(Json::as_u64).unwrap_or(0) > 100);
-    assert!(graph.get("edges").and_then(Json::as_u64).unwrap_or(0) > 100);
-    assert!(graph.get("wire_seeds").and_then(Json::as_u64).unwrap_or(0) > 0);
-    let passes = doc.get("passes").expect("passes section");
-    for pass in ["panic-reach", "lock-order"] {
-        assert_eq!(
-            passes.get(pass).and_then(Json::as_u64),
-            Some(0),
-            "pass `{pass}` must report zero findings on a clean tree"
+fn every_crate_the_daemon_links_forbids_the_panic_lints() {
+    let closure = wire_closure();
+    for name in ["vr-server", "vr-core", "vr-ledger", "vr-numerics"] {
+        assert!(
+            closure.contains_key(name),
+            "{name} missing from vr-server's dependency closure {closure:?} — did the tree parse break?"
         );
     }
-    // The on-disk artifact, when present (written by the CLI run), must
-    // agree with a fresh scan on the headline counts.
-    let on_disk = workspace_root().join("results/LINT_report.json");
-    if let Ok(text) = std::fs::read_to_string(&on_disk) {
-        let disk = Json::parse(&text).expect("results/LINT_report.json must parse");
-        if disk.get("schema").and_then(Json::as_u64) == Some(2) {
+    for (name, dir) in &closure {
+        if NOT_ON_THE_WIRE.iter().any(|(exempt, _)| exempt == name) {
+            continue;
+        }
+        let levels = clippy_levels(dir);
+        for lint in PANIC_LINTS {
             assert_eq!(
-                disk.get("pass_findings")
-                    .and_then(Json::as_arr)
-                    .map(<[Json]>::len),
-                Some(0),
-                "stale results/LINT_report.json records pass findings; re-run \
-                 `cargo run -p vr-lint -- --workspace`"
+                levels.get(lint).map(String::as_str),
+                Some("forbid"),
+                "{name} is linked into vr-server, so its Cargo.toml must set \
+                 `{lint} = \"forbid\"` under [lints.clippy] (or the crate must be argued \
+                 onto NOT_ON_THE_WIRE)"
             );
         }
+    }
+    for (exempt, reason) in NOT_ON_THE_WIRE {
+        assert!(
+            closure.contains_key(exempt),
+            "{exempt} is no longer linked into vr-server; drop its exemption ({reason})"
+        );
     }
 }
