@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the accounting kernels: the Õ(n) accountant
 //! at several population scales (the Table 5 measurement), the full-vs-
-//! truncated scan ablation, the bisection-depth ablation, and the closed
-//! forms.
+//! truncated scan ablation, the bisection-depth ablation, the closed
+//! forms, and the cold Rényi spend price.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -104,11 +104,17 @@ fn bench_baselines(c: &mut Criterion) {
     g.finish();
 }
 
+/// One cold price of a workload over the full default order grid: what a
+/// cold `composed` query or ledger `charge` pays before its spend is
+/// memoized.
 fn bench_renyi(c: &mut Criterion) {
+    let mut g = c.benchmark_group("renyi");
+    g.sample_size(10);
     let vr = VariationRatio::ldp_worst_case(1.0).unwrap();
-    c.bench_function("renyi_lambda2_n1e4", |b| {
-        b.iter(|| vr_core::renyi::renyi_divergence(black_box(&vr), 10_000, 2.0).unwrap())
+    g.bench_function("round_spend_grid24_n1e4", |b| {
+        b.iter(|| vr_core::engine::RoundSpend::new(black_box(vr), 10_000).unwrap())
     });
+    g.finish();
 }
 
 criterion_group!(

@@ -871,7 +871,7 @@ impl AnalysisEngine {
     /// continual-accounting seam shared by [`QueryTarget::Composed`]
     /// execution and budget-ledger charges. Returns the shared spend and
     /// whether it was already cached. Memoization cannot change answers:
-    /// [`renyi_divergence`](crate::renyi::renyi_divergence) is
+    /// [`renyi_divergences`](crate::renyi::renyi_divergences) is
     /// deterministic, so a cached vector is bit-identical to a rebuilt one.
     pub fn round_spend(
         &self,
@@ -1171,12 +1171,8 @@ impl AnalysisEngine {
                     )))
                 }
             }
-            // Served through the continual-accounting seam: the per-round
-            // spend vector is memoized engine-wide ([`spend`]), and
-            // [`spend::RoundSpend::epsilon`] reproduces
-            // `RenyiBound::new(vr, n, rounds)?.epsilon(delta)` bit for bit
-            // — budget-ledger charges and forward composed queries share
-            // this one state.
+            // Served from the engine-wide spend memo ([`spend`]) that
+            // ledger charges share, so their `remaining` is this bit for bit.
             let (round_spend, warm) = self.round_spend(query.vr, query.n)?;
             let v = round_spend.epsilon(rounds, delta);
             return Ok((

@@ -9,16 +9,18 @@
 //! answer must stay **bit-identical** to the equivalent forward `composed`
 //! query through the engine.
 //!
-//! [`RoundSpend`] is that primitive: the per-order Rényi price of *one*
-//! round of a workload, evaluated once over [`default_lambda_grid`] and then
-//! reused. Bit-identity holds by construction:
+//! [`RoundSpend`] (defined next to the kernel in [`crate::renyi`] and
+//! re-exported here) is that primitive: the per-order Rényi price of *one*
+//! round of a workload, evaluated once over [`default_lambda_grid`] by the
+//! one-pass kernel [`renyi_divergences`] and then reused. Bit-identity holds
+//! because there is only one code path, not a mirrored one:
 //!
-//! * [`renyi_divergence`] is deterministic, so a memoized per-order price
+//! * [`renyi_divergences`] is deterministic, so a memoized price vector
 //!   equals a freshly recomputed one bit for bit;
-//! * [`RoundSpend::epsilon`] folds `min(rdp_to_dp(λ, rounds·rdp_λ, δ))`
-//!   over the grid **in grid order starting from `+∞`** — the exact
-//!   operation sequence of [`crate::renyi::RenyiBound`]'s epsilon
-//!   conversion;
+//! * [`crate::renyi::RenyiBound`] *is* a `RoundSpend` plus a round count,
+//!   and its `epsilon` is [`RoundSpend::epsilon`]: the fold
+//!   `min(rdp_to_dp(λ, rounds·rdp_λ, δ))` over the grid in grid order from
+//!   `+∞`, written once;
 //! * [`composed_epsilon_over`] generalizes to several workloads by summing
 //!   `rounds_w · rdp_{w,λ}` per order in term order; a single-term spend
 //!   starts that sum at `0.0`, and IEEE-754 `0.0 + x` is exact for every
@@ -38,14 +40,15 @@
 //! [`PlanCertificate`] the inverse planner queries do.
 //!
 //! [`QueryTarget::Composed`]: super::QueryTarget::Composed
+//! [`default_lambda_grid`]: crate::renyi::default_lambda_grid
+//! [`renyi_divergences`]: crate::renyi::renyi_divergences
 
 use std::cell::Cell;
 
 use super::{canonical_bits, PlanCertificate};
-use crate::bound::Validity;
 use crate::error::{Error, Result};
 use crate::params::VariationRatio;
-use crate::renyi::{default_lambda_grid, rdp_to_dp, renyi_divergence};
+pub use crate::renyi::{composed_epsilon_over, RoundSpend, SpendTerm};
 use vr_numerics::search::{bisect_monotone_u64, exponential_upper_bracket_u64};
 
 /// Cache key of a memoized [`RoundSpend`]: canonicalized bit patterns of the
@@ -70,137 +73,6 @@ impl SpendKey {
             n,
         }
     }
-}
-
-/// The Rényi price of **one** adaptive shuffle round of a workload: the
-/// divergence upper bound at every order of [`default_lambda_grid`],
-/// evaluated once at construction. Prices compose additively across rounds
-/// and workloads, which is what makes this the ledger's currency.
-#[derive(Debug, Clone)]
-pub struct RoundSpend {
-    vr: VariationRatio,
-    n: u64,
-    lambdas: Vec<f64>,
-    rdp: Vec<f64>,
-}
-
-impl RoundSpend {
-    /// Price one round of `(vr, n)` over [`default_lambda_grid`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects `n = 0` (no population to shuffle) via the same
-    /// [`renyi_divergence`] domain checks the stateless route performs.
-    pub fn new(vr: VariationRatio, n: u64) -> Result<Self> {
-        let lambdas = default_lambda_grid();
-        let mut rdp = Vec::with_capacity(lambdas.len());
-        for &lambda in &lambdas {
-            rdp.push(renyi_divergence(&vr, n, lambda)?);
-        }
-        Ok(Self {
-            vr,
-            n,
-            lambdas,
-            rdp,
-        })
-    }
-
-    /// The priced workload's parameters.
-    pub fn vr(&self) -> VariationRatio {
-        self.vr
-    }
-
-    /// The priced workload's population.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// This spend's cache key.
-    pub fn key(&self) -> SpendKey {
-        SpendKey::new(&self.vr, self.n)
-    }
-
-    /// Validity of the Rényi route (same as `RenyiBound::validity`): the
-    /// Mironov conversion never certifies `δ = 0`, and `p = ∞` diverges at
-    /// every finite order.
-    pub fn validity(&self) -> Validity {
-        Validity {
-            eps_ceiling: f64::INFINITY,
-            conditional: !self.vr.p().is_finite(),
-        }
-    }
-
-    /// Whether a round of this workload is free at every order (degenerate
-    /// `β = 0` workloads): composing more rounds never moves `ε`, so an
-    /// affordability search against it cannot terminate by cost growth.
-    pub fn is_free(&self) -> bool {
-        !self.rdp.iter().any(|&r| r > 0.0)
-    }
-
-    /// `ε` after `rounds` adaptive rounds of this workload at failure
-    /// probability `delta` — **bit-identical** to
-    /// `RenyiBound::new(vr, n, rounds)?.epsilon(delta)`: same grid, same
-    /// per-order conversion `rounds·rdp_λ` (one multiplication, not
-    /// repeated addition), same `min` fold order from `+∞`.
-    pub fn epsilon(&self, rounds: u32, delta: f64) -> f64 {
-        let mut best = f64::INFINITY;
-        for (&lambda, &rdp) in self.lambdas.iter().zip(&self.rdp) {
-            best = best.min(rdp_to_dp(lambda, rounds as f64 * rdp, delta));
-        }
-        best
-    }
-
-    /// Both spends priced over the same order grid, bit for bit. All
-    /// engine-built spends share [`default_lambda_grid`], so a mismatch
-    /// marks a foreign (hand-built) spend that must not silently compose.
-    fn grid_matches(&self, other: &RoundSpend) -> bool {
-        self.lambdas.len() == other.lambdas.len()
-            && self
-                .lambdas
-                .iter()
-                .zip(&other.lambdas)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-/// One charged term of a composed spend: `rounds` rounds priced by a
-/// [`RoundSpend`].
-pub type SpendTerm<'a> = (&'a RoundSpend, u32);
-
-/// `ε` of the composition of every term at failure probability `delta`:
-/// per order, the Rényi guarantees add (`Σ_w rounds_w · rdp_{w,λ}`, in term
-/// order), then the best Mironov conversion over the grid is taken — the
-/// multi-workload generalization of [`RoundSpend::epsilon`], to which it is
-/// bit-identical for a single term.
-///
-/// # Errors
-///
-/// Rejects an empty term list (a ledger reports an uncharged user as zero
-/// spend *without* consulting this function — zero rounds of composition
-/// have no Rényi conversion) and terms priced over mismatched order grids.
-pub fn composed_epsilon_over(terms: &[SpendTerm<'_>], delta: f64) -> Result<f64> {
-    let Some(&(first, _)) = terms.first() else {
-        return Err(Error::InvalidParameter(
-            "composed spend needs at least one charged term".into(),
-        ));
-    };
-    if !terms.iter().all(|&(s, _)| first.grid_matches(s)) {
-        return Err(Error::Internal(
-            "composed spend mixes Rényi order grids; all terms must share one grid".into(),
-        ));
-    }
-    let mut best = f64::INFINITY;
-    for (i, &lambda) in first.lambdas.iter().enumerate() {
-        let mut total = 0.0;
-        for &(s, rounds) in terms {
-            let rdp = s.rdp.get(i).ok_or_else(|| {
-                Error::Internal("spend vector shorter than its own order grid".into())
-            })?;
-            total += rounds as f64 * *rdp;
-        }
-        best = best.min(rdp_to_dp(lambda, total, delta));
-    }
-    Ok(best)
 }
 
 /// Outcome of the cohort-affordability search ([`affordable_rounds`]).
@@ -337,7 +209,7 @@ mod tests {
 
     use super::super::AnalysisEngine;
     use super::*;
-    use crate::renyi::RenyiBound;
+    use crate::renyi::{default_lambda_grid, rdp_to_dp};
 
     fn wc(eps0: f64) -> VariationRatio {
         VariationRatio::ldp_worst_case(eps0).unwrap()
@@ -345,16 +217,20 @@ mod tests {
 
     #[test]
     fn round_spend_epsilon_is_bit_identical_to_renyi_bound() {
-        use crate::bound::AmplificationBound;
         for &(eps0, n) in &[(0.5, 1_000u64), (1.0, 10_000), (2.0, 250_000)] {
             let vr = wc(eps0);
             let spend = RoundSpend::new(vr, n).unwrap();
-            // The reference divergences, computed once per n (one grid at
-            // n = 2.5·10⁵ costs tens of seconds), folded exactly like
-            // `RenyiBound::epsilon`: min over λ from `+∞`, in grid order.
+            // The reference divergences come from the frozen per-order
+            // kernel (independent of the fused pass both `RoundSpend` and
+            // `RenyiBound` share), computed once per n, and folded here
+            // independently of `RoundSpend::epsilon`: min over λ from `+∞`,
+            // in grid order.
             let reference_rdp: Vec<(f64, f64)> = default_lambda_grid()
                 .into_iter()
-                .map(|lambda| (lambda, renyi_divergence(&vr, n, lambda).unwrap()))
+                .map(|lambda| {
+                    let rdp = crate::renyi::frozen::renyi_divergence(&vr, n, lambda).unwrap();
+                    (lambda, rdp)
+                })
                 .collect();
             let reference = |rounds: u32, delta: f64| {
                 reference_rdp
@@ -363,16 +239,6 @@ mod tests {
                         best.min(rdp_to_dp(lambda, rounds as f64 * rdp, delta))
                     })
             };
-            // Tie the mirror to the real route once per n.
-            assert_eq!(
-                reference(7, 1e-8).to_bits(),
-                RenyiBound::new(vr, n, 7)
-                    .unwrap()
-                    .epsilon(1e-8)
-                    .unwrap()
-                    .to_bits(),
-                "the reference fold drifted from RenyiBound at eps0={eps0} n={n}"
-            );
             for rounds in [1u32, 2, 3, 7, 64, 1000] {
                 for delta in [1e-5, 1e-8, 1e-12] {
                     assert_eq!(

@@ -321,6 +321,11 @@ impl BudgetLedger {
             ));
         }
         let id = self.workload_id(engine, vr, n)?;
+        self.apply(user, id, rounds)
+    }
+
+    /// Add `rounds` rounds of workload `id` to `user`'s entry.
+    fn apply(&self, user: u64, id: u32, rounds: u32) -> Result<ChargeReceipt> {
         let mut guard = self.shard_of(user)?.lock();
         let entry = guard.entry(user).or_default();
         let workload_rounds = match entry.iter_mut().find(|(tid, _)| *tid == id) {
@@ -349,6 +354,27 @@ impl BudgetLedger {
             total_rounds,
             workloads,
         })
+    }
+
+    /// Take back `rounds` rounds of workload `id` that [`Self::apply`]
+    /// added to `user`'s entry, dropping the term (and the user) when
+    /// nothing else is left on it.
+    fn unapply(&self, user: u64, id: u32, rounds: u32) -> Result<()> {
+        let missing = || Error::Internal("undone charge is not on the ledger".into());
+        let mut guard = self.shard_of(user)?.lock();
+        let entry = guard.get_mut(&user).ok_or_else(missing)?;
+        let term = entry
+            .iter_mut()
+            .find(|(tid, _)| *tid == id)
+            .ok_or_else(missing)?;
+        term.1 = term.1.checked_sub(rounds).ok_or_else(missing)?;
+        // Entries never hold zero-round terms, so this drops only the term
+        // the undone charge created, and the user if nothing else is left.
+        entry.retain(|&(_, r)| r > 0);
+        if entry.is_empty() {
+            guard.remove(&user);
+        }
+        Ok(())
     }
 
     /// `user`'s budget position against `(eps, delta)`: composed spend so
@@ -503,32 +529,57 @@ impl BudgetLedger {
     /// Bulk-load CSV rows (see [`csv`] for the two accepted layouts).
     /// Frame-atomic: every row is parsed and its workload priced **before**
     /// any charge is applied, so a malformed row rejects the whole batch
-    /// with its row number and leaves the ledger untouched.
+    /// with its row number and leaves the ledger untouched. A charge that
+    /// still fails when applied (it would push a (user, workload) pair past
+    /// `u32::MAX` rounds) takes back the rows this call already applied and
+    /// names its row; until then, concurrent readers on other connections
+    /// can briefly see those rows.
     pub fn import_rows<'a, I>(&self, engine: &AnalysisEngine, rows: I) -> Result<ImportReceipt>
     where
         I: IntoIterator<Item = &'a str>,
     {
         let mut parsed: Vec<(u64, VariationRatio, u64, u32)> = Vec::new();
         for (i, row) in rows.into_iter().enumerate() {
-            let rec = csv::parse_row(row).map_err(|e| {
-                Error::InvalidParameter(format!("import row {}: {e}", i.saturating_add(1)))
-            })?;
+            let rec = csv::parse_row(row).map_err(|e| at_row(i, &e))?;
+            if rec.3 == 0 {
+                return Err(at_row(i, &"a charge must add at least one round"));
+            }
             parsed.push(rec);
         }
-        // Price every workload up front (also validates them) so the apply
-        // loop below cannot fail halfway through.
-        for &(_, vr, n, _) in &parsed {
-            self.workload_id(engine, vr, n).map_err(|e| {
+        // Price every workload up front (also validates them) so only a
+        // round overflow can fail the apply step.
+        let mut charges: Vec<(u64, u32, u32)> = Vec::with_capacity(parsed.len());
+        for &(user, vr, n, rounds) in &parsed {
+            let id = self.workload_id(engine, vr, n).map_err(|e| {
                 Error::InvalidParameter(format!("import workload ({vr:?}, n = {n}): {e}"))
             })?;
+            charges.push((user, id, rounds));
         }
-        let mut applied: u64 = 0;
-        for &(user, vr, n, rounds) in &parsed {
-            self.charge(engine, user, vr, n, rounds)?;
-            applied = applied.saturating_add(1);
-        }
-        Ok(ImportReceipt { rows: applied })
+        self.apply_all(&charges)?;
+        Ok(ImportReceipt {
+            rows: u64::try_from(charges.len()).unwrap_or(u64::MAX),
+        })
     }
+
+    /// Apply `(user, workload id, rounds)` charges in order, all or none:
+    /// if one fails, the ones before it are taken back in reverse order
+    /// and its error returns tagged with its row number.
+    fn apply_all(&self, charges: &[(u64, u32, u32)]) -> Result<()> {
+        for (i, &(user, id, rounds)) in charges.iter().enumerate() {
+            if let Err(e) = self.apply(user, id, rounds) {
+                for &(user, id, rounds) in charges.iter().take(i).rev() {
+                    self.unapply(user, id, rounds)?;
+                }
+                return Err(at_row(i, &e));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An import error tagged with its 1-based row number.
+fn at_row(i: usize, e: &dyn std::fmt::Display) -> Error {
+    Error::InvalidParameter(format!("import row {}: {e}", i.saturating_add(1)))
 }
 
 #[cfg(test)]
@@ -727,5 +778,52 @@ mod tests {
         let rows = ["1,1.0,1000,2", "2,1.0,0,1"];
         assert!(ledger.import_rows(&engine, rows).is_err());
         assert_eq!(ledger.users(), 0);
+    }
+
+    #[test]
+    fn rejected_import_applies_nothing() {
+        let engine = AnalysisEngine::new();
+        let ledger = BudgetLedger::new();
+        // Row 1 is fine on its own; row 2's zero rounds must reject the
+        // whole batch before row 1 is charged.
+        let err = ledger
+            .import_rows(&engine, ["1,1.0,1000,2", "2,1.0,1000,0"])
+            .unwrap_err();
+        assert!(format!("{err}").contains("import row 2"), "{err}");
+        assert_eq!(ledger.remaining(1, 1.0, 1e-8).unwrap().rounds, 0);
+        // The batch's own running total overflows u32 at row 2.
+        let err = ledger
+            .import_rows(&engine, ["1,1.0,1000,4294967295", "1,1.0,1000,1"])
+            .unwrap_err();
+        assert!(format!("{err}").contains("import row 2"), "{err}");
+        assert_eq!(ledger.users(), 0, "an overflowing batch must apply nothing");
+        // So does a row on top of rounds already recorded for the pair.
+        ledger.charge(&engine, 1, wc(1.0), 1000, 5).unwrap();
+        let before = ledger.export_users(&[1, 2]).unwrap();
+        let err = ledger
+            .import_rows(&engine, ["2,1.0,1000,3", "1,1.0,1000,4294967291"])
+            .unwrap_err();
+        assert!(format!("{err}").contains("import row 2"), "{err}");
+        assert_eq!(ledger.export_users(&[1, 2]).unwrap(), before);
+        assert_eq!(ledger.users(), 1);
+    }
+
+    #[test]
+    fn failed_apply_takes_back_the_rows_already_applied() {
+        // A batch spanning two users and two workloads whose last row
+        // overflows: every earlier row must be taken back.
+        let engine = AnalysisEngine::new();
+        let ledger = BudgetLedger::new();
+        ledger.charge(&engine, 1, wc(1.0), 1000, 3).unwrap();
+        let a = ledger.workload_id(&engine, wc(1.0), 1000).unwrap();
+        let b = ledger.workload_id(&engine, wc(0.5), 1000).unwrap();
+        let before = ledger.export_users(&[1, 2]).unwrap();
+        let spent = ledger.remaining(1, 1.0, 1e-8).unwrap().spent;
+        let batch = [(2, a, 4), (1, b, 2), (1, a, 7), (1, a, u32::MAX)];
+        assert!(ledger.apply_all(&batch).is_err());
+        assert_eq!(ledger.export_users(&[1, 2]).unwrap(), before);
+        assert_eq!(ledger.users(), 1, "user 2 existed only through the batch");
+        let after = ledger.remaining(1, 1.0, 1e-8).unwrap().spent;
+        assert_eq!(after.to_bits(), spent.to_bits());
     }
 }

@@ -18,7 +18,9 @@ use proptest::prelude::*;
 use shuffle_amplification::core::engine::{AmplificationQuery, AnalysisEngine};
 use shuffle_amplification::core::params::VariationRatio;
 use shuffle_amplification::ledger::BudgetLedger;
-use shuffle_amplification::server::{Client, Command, LedgerOp, ReplyBody, Server, ServerConfig};
+use shuffle_amplification::server::{
+    Client, Command, Json, LedgerOp, ReplyBody, Server, ServerConfig,
+};
 
 const DELTA: f64 = 1e-8;
 const EPS_BUDGET: f64 = 4.0;
@@ -280,4 +282,42 @@ proptest! {
         client.shutdown_server().expect("shutdown");
         server.join();
     }
+}
+
+/// A `ledger_import` frame is all-or-nothing on the wire too: a batch whose
+/// second row fails — zero rounds, or a `u32` round overflow of the first
+/// row's (user, workload) pair — is rejected naming row 2, and user 1 is
+/// left uncharged.
+#[test]
+fn rejected_import_frames_charge_nothing() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_depth: 16,
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for frame in [
+        r#"{"op":"ledger_import","rows":["1,1.0,1000,2","2,1.0,1000,0"]}"#,
+        r#"{"op":"ledger_import","rows":["1,1.0,1000,4294967295","1,1.0,1000,1"]}"#,
+    ] {
+        let reply = client.roundtrip_raw(frame).expect("reply");
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{frame}"
+        );
+        let error = reply.get("error").expect("error body");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("invalid_parameter"),
+            "{frame}"
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("import row 2"), "{frame}: {message}");
+        let status = client.remaining(1, EPS_BUDGET, DELTA).expect("remaining");
+        assert_eq!(status.rounds, 0, "{frame} charged user 1");
+    }
+    client.shutdown_server().expect("shutdown");
+    server.join();
 }
