@@ -19,31 +19,39 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use vr_core::accountant::Accountant;
-use vr_core::engine::{AmplificationQuery, AnalysisEngine};
+use vr_core::bound::names;
+use vr_core::engine::{AmplificationQuery, AnalysisEngine, DEFAULT_N_HI_HINT};
 use vr_core::VariationRatio;
-use vr_numerics::search::{bisect_monotone_u64, exponential_upper_bracket_u64, SearchError};
 
 const EPS: f64 = 0.05;
 const DELTA: f64 = 1e-8;
 const HINT: u64 = 1 << 14;
 
 /// The pre-planner inverse idiom: cold `ε(δ)`-then-compare per candidate,
-/// over the same certified search trajectory the planner uses.
+/// over the reference trajectory of the planner's search (double from the
+/// hint, then bisect to adjacent populations).
 fn naive_min_n(vr: VariationRatio) -> u64 {
-    let mut probe = |n: u64| -> Result<bool, SearchError> {
+    let passes = |n: u64| {
         let eps_at_n = Accountant::new(vr, n)
             .expect("n >= 1")
             .epsilon_default(DELTA)
             .expect("achievable for finite p");
-        Ok(eps_at_n <= EPS)
+        eps_at_n <= EPS
     };
-    let hi = exponential_upper_bracket_u64(&mut probe, HINT, 1 << 33)
-        .unwrap()
-        .expect("achievable below the cap");
-    bisect_monotone_u64(&mut probe, 1, hi)
-        .unwrap()
-        .expect("hi is feasible")
-        .first_feasible
+    let (mut lo, mut hi) = (1, HINT);
+    while !passes(hi) {
+        lo = hi;
+        hi *= 2;
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 fn planner_speedup(c: &mut Criterion) {
@@ -113,6 +121,33 @@ fn planner_speedup(c: &mut Criterion) {
         build.hinted_builds > 0,
         "the min-n trajectory probes adjacent candidates; warm-start hints \
          must land on some of them"
+    );
+
+    // One cold numerical search on a fresh engine from the default hint —
+    // a planner query for an unseen workload, as the serving benchmark's
+    // `plan_cold` sends it: the certified replay probes near the answer
+    // instead of walking down from n = 2^20.
+    let fresh = AnalysisEngine::new();
+    let cold_query = AmplificationQuery::params(vr)
+        .local_budget(1.0)
+        .min_population(EPS, DELTA, DEFAULT_N_HI_HINT)
+        .bound(names::NUMERICAL)
+        .build()
+        .expect("valid planner query");
+    let t2 = Instant::now();
+    let cold = fresh.run(&cold_query).expect("planner serves cold");
+    let t_cold = t2.elapsed().as_secs_f64();
+    assert_eq!(
+        cold.scalar().unwrap() as u64,
+        naive,
+        "cold numerical search drifted"
+    );
+    println!(
+        "fresh-engine numerical min n from the default hint: {} probes, {} tables built, \
+         {:.2} ms",
+        cold.certificate.expect("planner certificate").evaluations,
+        fresh.build_stats().tables_built,
+        t_cold * 1e3
     );
 
     // Criterion entries: per-search costs of the two inverse paths.

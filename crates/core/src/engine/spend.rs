@@ -34,22 +34,20 @@
 //! state its forward queries use.
 //!
 //! [`affordable_rounds`] is the planner hook — "how many more rounds can
-//! this cohort afford before exhausting `(ε, δ)`?" — reusing the certified
-//! integer monotone search ([`exponential_upper_bracket_u64`] +
-//! [`bisect_monotone_u64`]) so the answer carries the same witness-pair
+//! this cohort afford before exhausting `(ε, δ)`?" — reusing the integer
+//! monotone search the planner replays ([`doubling_bisection_u64`]) so
+//! the answer carries the same witness-pair
 //! [`PlanCertificate`] the inverse planner queries do.
 //!
 //! [`QueryTarget::Composed`]: super::QueryTarget::Composed
 //! [`default_lambda_grid`]: crate::renyi::default_lambda_grid
 //! [`renyi_divergences`]: crate::renyi::renyi_divergences
 
-use std::cell::Cell;
-
 use super::{canonical_bits, PlanCertificate};
 use crate::error::{Error, Result};
 use crate::params::VariationRatio;
 pub use crate::renyi::{composed_epsilon_over, RoundSpend, SpendTerm};
-use vr_numerics::search::{bisect_monotone_u64, exponential_upper_bracket_u64};
+use vr_numerics::search::doubling_bisection_u64;
 
 /// Cache key of a memoized [`RoundSpend`]: canonicalized bit patterns of the
 /// workload parameters plus the population (same canonicalization as the
@@ -99,15 +97,16 @@ pub struct Affordability {
 /// `epsilon_after(k)` must report the composed `ε` at `δ` of the state
 /// *after* `k` additional rounds (`k = 0` is the current state) and must be
 /// monotone non-decreasing in `k` — true of every Rényi spend, whose
-/// per-order prices are non-negative. The search brackets exponentially and
-/// bisects to **adjacent integers** ([`exponential_upper_bracket_u64`] +
-/// [`bisect_monotone_u64`]), so both certificate candidates were actually
+/// per-order prices are non-negative. The search brackets by doubling and
+/// bisects to **adjacent integers** ([`doubling_bisection_u64`], with no
+/// pruning), so both certificate candidates were actually
 /// evaluated — the same contract as the planner's population search.
 ///
 /// # Errors
 ///
 /// Rejects a non-finite or negative budget, a `δ` outside `(0, 1)`, a zero
-/// probe cap, and propagates `epsilon_after` errors unchanged.
+/// probe cap, answers [`Error::Internal`] when `epsilon_after` contradicts
+/// itself on re-evaluation, and propagates its errors unchanged.
 pub fn affordable_rounds<F>(
     mut epsilon_after: F,
     eps: f64,
@@ -132,11 +131,8 @@ where
             "affordability probe cap must be at least one round".into(),
         ));
     }
-    let evaluations = Cell::new(0u32);
-    let spent = {
-        evaluations.set(1);
-        epsilon_after(0)?
-    };
+    let mut evaluations = 1u32;
+    let spent = epsilon_after(0)?;
     if spent > eps {
         return Ok(Affordability {
             rounds: 0,
@@ -145,23 +141,18 @@ where
             certificate: None,
         });
     }
-    // Remember the largest candidate the bracketing step saw *affordable*,
-    // so the bisection starts there instead of re-probing the known-cheap
-    // region (the planner's `largest_fail` trick, affordability polarity).
-    let largest_affordable = Cell::new(0u64);
-    let mut probe = |k: u64| -> Result<bool> {
-        evaluations.set(evaluations.get().saturating_add(1));
+    // The bisection starts from the largest count the doubling saw
+    // affordable, else from `k = 0` (evaluated again: that re-check is part
+    // of the pinned evaluation count).
+    let unaffordable = |k: u64| -> Result<bool> {
+        evaluations = evaluations.saturating_add(1);
         let k32 = u32::try_from(k).map_err(|_| {
             Error::Internal("affordability probe exceeded the u32 round domain".into())
         })?;
-        let unaffordable = epsilon_after(k32)? > eps;
-        if !unaffordable {
-            largest_affordable.set(largest_affordable.get().max(k));
-        }
-        Ok(unaffordable)
+        Ok(epsilon_after(k32)? > eps)
     };
     let cap64 = u64::from(cap);
-    let Some(hi) = exponential_upper_bracket_u64(&mut probe, 1, cap64)? else {
+    let Some(bracket) = doubling_bisection_u64(unaffordable, 0, 1, cap64)? else {
         // Even `cap` additional rounds stay affordable.
         return Ok(Affordability {
             rounds: cap,
@@ -170,19 +161,11 @@ where
             certificate: Some(PlanCertificate {
                 failing: None,
                 passing: cap64 as f64,
-                evaluations: evaluations.get(),
+                evaluations,
                 cache_hits: 0,
             }),
         });
     };
-    let bracket =
-        bisect_monotone_u64(&mut probe, largest_affordable.get(), hi)?.ok_or_else(|| {
-            Error::Internal(
-                "affordability bisection found no unaffordable point although the bracketing \
-                 step evaluated one"
-                    .into(),
-            )
-        })?;
     // `first_feasible` is the first *unaffordable* count; the candidate just
     // below it was evaluated affordable (`k = 0` counts: its evaluation is
     // the `spent` probe above).
@@ -197,7 +180,7 @@ where
         certificate: Some(PlanCertificate {
             failing: Some(bracket.first_feasible as f64),
             passing: affordable64 as f64,
-            evaluations: evaluations.get(),
+            evaluations,
             cache_hits: 0,
         }),
     })
@@ -310,6 +293,8 @@ mod tests {
         let cert = afford.certificate.expect("interior threshold certifies");
         assert_eq!(cert.passing, 10.0);
         assert_eq!(cert.failing, Some(11.0));
+        // k = 0, doubling 1…16, re-checks of 8 and 16, bisection 12, 10, 11.
+        assert_eq!(cert.evaluations, 11);
         assert!(spend.epsilon(10, delta) <= budget);
         assert!(spend.epsilon(11, delta) > budget);
     }
@@ -336,6 +321,18 @@ mod tests {
         assert!(affordable_rounds(|_| Ok(0.0), f64::NAN, delta, 1).is_err());
         assert!(affordable_rounds(|_| Ok(0.0), 1.0, 0.0, 1).is_err());
         assert!(affordable_rounds(|_| Ok(0.0), 1.0, delta, 0).is_err());
+        // A spend that changes its answer is a broken invariant, not a bad
+        // input: one round reads unaffordable, then affordable on re-check.
+        let mut seen_one = false;
+        let flaky = |k: u32| {
+            let first_one = k == 1 && !seen_one;
+            seen_one |= k == 1;
+            Ok(if first_one { 10.0 } else { 0.0 })
+        };
+        assert!(matches!(
+            affordable_rounds(flaky, 1.0, delta, 64),
+            Err(Error::Internal(_))
+        ));
     }
 
     #[test]

@@ -36,9 +36,13 @@ impl std::error::Error for Error {}
 impl From<vr_numerics::search::SearchError> for Error {
     /// A malformed numerical search domain is an invalid-parameter condition
     /// at the accounting layer: it can only arise from out-of-domain query
-    /// inputs, never from internal state.
+    /// inputs. A search predicate that contradicts itself is a broken
+    /// monotonicity invariant, hence [`Error::Internal`].
     fn from(e: vr_numerics::search::SearchError) -> Self {
-        Error::InvalidParameter(e.to_string())
+        match e {
+            vr_numerics::search::SearchError::Domain(_) => Error::InvalidParameter(e.to_string()),
+            vr_numerics::search::SearchError::NotMonotone(_) => Error::Internal(e.to_string()),
+        }
     }
 }
 

@@ -38,7 +38,9 @@
 //! "wall_micros":…,"eps_ceiling":…,"conditional":…}` with `"curve":{"eps":
 //! […],"delta":[…]}` replacing `"value"` for curve queries; planner replies
 //! (`min_n` / `max_eps0`) add a `"certificate"` object (`failing` — may be
-//! `null` —, `passing`, `evaluations`, `cache_hits`); `sweep` replies carry
+//! `null` —, `passing`, `evaluations`, `cache_hits`; `evaluations` counts
+//! the probes that ran, not the decisions the search took, most of which
+//! its certified bracket settles without a probe); `sweep` replies carry
 //! a `"sweep"` object with parallel `grid` / `value` / `bound` / `error`
 //! arrays (failed grid points have a `null` value and an error string) plus
 //! aggregate `cache_hits` / `wall_micros`; `batch` replies carry a
